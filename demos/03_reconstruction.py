@@ -1,10 +1,11 @@
 """Reconstructing a convex body from its curvature measure.
 
-The inverse problem is solved by maximizing the dual functional
-K(psi) = integral F(phi) d(sigma) + sum a_i G(psi_i) over discrete
-potentials; the recovered radii are r_i = artanh(e^{psi_i}).  The script
-round-trips a known body (forward measure -> solve -> compare radii), then
-reconstructs a body from a hand-written measure.
+The atom of a polytope's curvature measure at a vertex is its exterior
+angle, so the inverse problem is solved by damped Newton on the exact
+angles alpha(r) = a, in the potentials psi_i = log tanh r_i; the recovered
+radii are r_i = artanh(e^{psi_i}).  The script round-trips a known body
+(forward measure -> solve -> compare radii), then reconstructs a body from a
+hand-written measure.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ print("true radii:      ", np.round(poly.radii, 8))
 print("recovered radii: ", np.round(report.body.radii, 8))
 rel = np.abs(report.body.radii - poly.radii) / poly.radii
 print("max rel error:   ", rel.max())
-print("max EL residual: ", report.residuals.max())
+print("max rel residual:", report.residuals.max())
 
 print()
 print("== prescribing a hand-written measure ==")

@@ -6,12 +6,13 @@ decomposition are the regions where one index attains the max.  With
 s = tanh(r) this is the vertex decomposition of a polytope under its normal
 map (b = tanh h); with s = e^psi it is the weighted Voronoi decomposition of
 a discrete potential (phi = -ln b).  One kernel serves both, which keeps the
-forward curvature map and the inverse solver numerically consistent.
+forward curvature map and the grid form of the dual problem
+(``solver.dual_objective`` and its gradient) numerically consistent.
 
 m=1 cell integrals are computed per grid interval by Simpson's rule with
 exact splitting at the angles where the active branch changes, so they
 converge at fourth order in the grid spacing.  m=2 cell integrals bin grid
-nodes into cells, splitting the weight of near-tied nodes equally.
+nodes into cells; near-tied nodes share their weight (see SOFT_BAND).
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ _STORE_LIMIT = 20_000_000
 # m=2 nodes whose score is within this relative band of the best share their
 # weight between the contenders, proportionally to the squared band excess.
 # Exact ties still split equally, but the softened hand-off makes cell
-# masses C^1 in the potentials: with hard assignment the gradient field
-# jumps by a full node weight near the optimum and the solver tolerances
-# can be unreachable; with a merely continuous (linear) hand-off the
-# gradient still has kinks the ascent can pin on.  The induced bias is
-# O(band) relative, far below the m=2 agreement tolerances; narrower bands
-# make the near-optimal gradient field stiffer and the ascent slower.
+# masses C^1 in the potentials: with hard assignment the dual gradient
+# jumps by a full node weight wherever a node changes cell; with a merely
+# continuous (linear) hand-off it still has kinks.  The induced bias is
+# O(band) relative, far below the m=2 agreement tolerances.
 SOFT_BAND = 1e-4
 
 
@@ -142,12 +141,11 @@ class SupportKernel:
     def solver_sweep(self, s: np.ndarray, want_objective: bool):
         """One pass returning (masses, objective, mass response).
 
-        The mass response is a diagonal estimate of d(cell mass)/d(psi) used
-        to scale ascent steps: it combines the hand-off stiffness of the m=2
-        soft band (mass crossing near-tied nodes at rate ~1/SOFT_BAND) with
-        the smooth response of the integrand, |f'(phi)| = (m+1) f b^2/(1-b^2).
-        m=1 cells are smooth and well-conditioned; no scaling is offered
-        there (response None).
+        The mass response is a diagonal estimate of d(cell mass)/d(psi): it
+        combines the hand-off stiffness of the m=2 soft band (mass crossing
+        near-tied nodes at rate ~1/SOFT_BAND) with the smooth response of the
+        integrand, |f'(phi)| = (m+1) f b^2/(1-b^2).  m=1 cells are smooth and
+        well-conditioned; no response is offered there (None).
         """
         s = np.asarray(s, dtype=float)
         if self.m == 1:

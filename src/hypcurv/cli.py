@@ -25,12 +25,14 @@ from .crofton import crofton_compare
 from .errors import HypcurvError, PreconditionError
 from .measures import DiscreteMeasure, check_conditions
 from .quadrature import build_grid
-from .solver import DEFAULT_GRID_LEVEL, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
+
+DEFAULT_GRID_LEVEL = 6
 
 
 def _emit_error(args, code: int, exc: Exception) -> int:
@@ -107,29 +109,22 @@ def _maybe_graphics(args, poly, out: Path) -> None:
         (out / "body.obj").write_text(hio.body_obj(poly))
 
 
-def _solve_config(args, m: int) -> SolverConfig:
-    return SolverConfig(
-        grid_level=args.grid_level,
-        tol_el=args.tol if args.tol is not None else 1e-6,
-        max_iter=args.max_iter,
-        seed=args.seed,
-    )
+def _solve_config(args) -> SolverConfig:
+    return SolverConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
 
 
 def _report_dict(report) -> dict:
     return {
         "converged": report.converged,
         "iterations": report.iterations,
-        "grid_level": report.grid_level,
+        "stop_reason": report.stop_reason,
         "psi": report.psi.values.tolist(),
         "radii": report.body.radii.tolist() if report.body is not None else None,
         "directions": report.psi.support.tolist(),
-        "objective_history": report.k_history,
-        "grad_norm_history": report.grad_norm_history,
+        "residual_history": report.residual_history,
         "el_residuals": report.residuals.tolist(),
         "condition_report": report.condition_report.to_dict()
         if report.condition_report is not None else None,
-        "clamp_events": report.clamp_events,
         "restarts_used": report.restarts_used,
         "wall_time_s": report.wall_time,
         "extraction_error": report.extraction_error,
@@ -138,7 +133,7 @@ def _report_dict(report) -> dict:
 
 def _cmd_solve(args) -> int:
     mu = hio.load_measure(args.measure)
-    report = solve(mu, _solve_config(args, mu.m), force=args.force)
+    report = solve(mu, _solve_config(args), force=args.force)
     out = _out_dir(args)
     hio.save_report(_report_dict(report), out / "solve_report.json")
     if report.body is not None:
@@ -157,7 +152,7 @@ def _cmd_roundtrip(args) -> int:
     poly = hio.load_body(args.body)
     grid = _grid_for(args, poly.m)
     mu = curvature_measure_integral(poly, grid)
-    report = solve(mu, _solve_config(args, poly.m), force=args.force)
+    report = solve(mu, _solve_config(args), force=args.force)
     rows = []
     max_rel = np.inf
     if report.body is not None:
@@ -239,17 +234,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, solveish=False):
-        p.add_argument("--grid-level", type=int, default=None,
-                       help="quadrature refinement level (default 6)")
+    def common(p, solveish=False, grid=True):
+        if grid:
+            p.add_argument("--grid-level", type=int, default=None,
+                           help=f"quadrature refinement level (default {DEFAULT_GRID_LEVEL})")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--json-errors", action="store_true",
                        help="print machine-readable errors to stderr")
         if solveish:
-            p.add_argument("--tol", type=float, default=None,
-                           help="relative transport-residual tolerance (default 1e-6)")
-            p.add_argument("--max-iter", type=int, default=5000)
+            p.add_argument("--tol", type=float, default=SolverConfig.tol,
+                           help="largest |exterior angle - atom| at convergence, as a "
+                                f"fraction of the total mass (default {SolverConfig.tol:g})")
+            p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                           help=f"Newton steps (default {SolverConfig.max_iter})")
             p.add_argument("--force", action="store_true",
                            help="run even if the admissibility check fails")
 
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure")
     p.add_argument("--svg", action="store_true")
     p.add_argument("--obj", action="store_true")
-    common(p, solveish=True)
+    common(p, solveish=True, grid=False)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("roundtrip", help="forward then solve; report radius errors")

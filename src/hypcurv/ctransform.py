@@ -3,9 +3,9 @@
 A potential assigns a negative value psi_i to each support point xi_i.  Its
 conjugate is phi(eta) = min_i (c(eta, xi_i) - psi_i) with the cost
 c = -ln<eta, xi>; the minimizing indices are the weighted Voronoi memberships
-used throughout the solver.  Potentials are stored only on the support; phi
-is always evaluated on demand, never cached as a grid array, which avoids
-stale potential/conjugate pairs.
+that the grid oracles of ``solver`` integrate over.  Potentials are stored
+only on the support; phi is always evaluated on demand, never cached as a
+grid array, which avoids stale potential/conjugate pairs.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ _kernel_cache: dict[tuple, SupportKernel] = {}
 
 def kernel_for(m: int, support: np.ndarray, grid: QuadratureGrid) -> SupportKernel:
     """Kernel for a (support, grid) pair, cached; runs the pi/2-density check once."""
-    key = (grid.key, support.shape[0], hash(support.tobytes()))
+    key = (grid.key, support.shape, support.tobytes())
     kern = _kernel_cache.get(key)
     if kern is None:
         kern = SupportKernel(m, support, grid)

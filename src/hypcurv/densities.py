@@ -57,12 +57,6 @@ def G_psi(v):
     return _unwrap(arr - np.log1p(np.sqrt(-np.expm1(2.0 * arr))), v)
 
 
-def g_psi_prime(v):
-    """Derivative of g: g'(v) = e^{2v} (1 - e^{2v})^(-3/2), positive."""
-    arr = _checked(v, lambda a: a < 0, "need v < 0")
-    return _unwrap(np.exp(2.0 * arr) * (-np.expm1(2.0 * arr)) ** (-1.5), v)
-
-
 def _F_constant(m: int) -> float:
     # fixes F(1) = 0
     if m == 1:

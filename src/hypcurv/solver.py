@@ -1,22 +1,28 @@
 """Reconstruction of a convex body from a prescribed discrete curvature measure.
 
-The dual objective
+The atom of a polytope's curvature measure at the vertex direction xi_i is
+its exterior angle alpha_i(r), and an admissible measure is the curvature
+measure of exactly one body.  So ``solve`` looks for the radii with
+alpha(r) = a.  It works in the potentials psi_i = log tanh r_i < 0 and runs
+damped Newton on the residual alpha(psi) - a, which ``from_vertices`` and
+``curvature_measure_angles`` evaluate exactly, with no grid:
 
-    K(psi) = integral F(phi_psi) d(sigma) + sum_i a_i G(psi_i)
+* the start is the ball whose total curvature is the measure's total;
+* the Jacobian comes from central differences.  alpha_i moves only with the
+  vertices that share a facet with vertex i, so columns that no row sees
+  together are perturbed at once (Curtis-Powell-Reid grouping);
+* the step is halved until the sup-norm residual strictly falls, and trials
+  with some psi_i >= -PSI_FLOOR or an invalid body are rejected.  This damping
+  follows Kitagawa, Merigot and Thibert (JEMS 2019).
 
-is maximized over potentials psi < 0 by projected gradient ascent with an
-Armijo line search.  Its stationarity condition is the per-cell transport
-balance
+The grid dual objective
 
-    integral of f(phi) over cell i  =  a_i g(psi_i),
+    K(psi) = integral F(phi_psi) d(sigma) + sum_i a_i G(psi_i),
 
-which is the discrete curvature-measure identity (f(phi) = cosh^{m+1} h,
-g(psi) = cosh r), so the gradient norm and the relative cell residuals are
-two views of the same optimality measure and both gate convergence.  The
-objective is not known to be concave (the F part is concave, the G part
-convex), so the solver guarantees monotone ascent only and validates global
-recovery empirically through round-trips; seeded restarts hedge against
-stalls.
+its gradient (component i: a_i g(psi_i) minus the mass of cell i) and the
+per-cell transport residuals stay as oracles independent of the solve.  Cell
+i's mass is cosh(r_i) alpha_i, and g(psi_i) = cosh(r_i), so the gradient
+vanishes exactly where alpha = a.
 """
 
 from __future__ import annotations
@@ -27,97 +33,78 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import HyperbolicPolytope, from_vertices
-from .cells import SupportKernel
+from .bodies import HyperbolicPolytope, curvature_measure_angles, from_vertices
 from .ctransform import PSI_FLOOR, PotentialVector, kernel_for
-from .densities import G_psi, g_psi, g_psi_prime
+from .densities import G_psi, g_psi
 from .errors import HypcurvError, PreconditionError
 from .measures import ConditionReport, DiscreteMeasure, check_conditions
 from .minkowski import sphere_measure
-from .quadrature import QuadratureGrid, build_grid
+from .quadrature import QuadratureGrid
 
-DEFAULT_GRID_LEVEL = 6
+# Central-difference step of the Jacobian, in psi.
+FD_STEP = 1e-7
+
+# The line search gives up once the step factor falls below this.
+MIN_DAMPING = 1e-10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the ascent; defaults follow the acceptance suite."""
+    """Stopping rule of the Newton solve; ``seed`` drives the sampled check."""
 
-    grid_level: int | None = None          # None -> 6 (4096 nodes m=1, 40962 m=2)
-    tol_grad: float | None = None          # None -> 1e-8 * mu(S^m)
-    tol_el: float = 1e-6                   # max relative cell residual
-    max_iter: int = 5000
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    step0: float = 1.0
-    psi_floor: float = PSI_FLOOR
+    tol: float = 1e-12          # converged when max|alpha - a| <= tol * mu.total
+    max_iter: int = 50          # Newton steps
     seed: int = 0
-    restarts: int = 3
 
     def __post_init__(self):
-        if self.tol_el <= 0 or (self.tol_grad is not None and self.tol_grad <= 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iter <= 0 or self.step0 <= 0:
-            raise ValueError("max_iter and step0 must be positive")
-        if not (0 < self.backtrack < 1) or not (0 < self.armijo_c1 < 1):
-            raise ValueError("backtrack and armijo_c1 must lie in (0, 1)")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter <= 0:
+            raise ValueError("max_iter must be positive")
 
 
 @dataclass
 class SolveReport:
-    """Everything the solve produced, converged or not."""
+    """Everything the solve produced, converged or not.
+
+    ``stop_reason`` is "converged", "max_iter", "damping" (no step factor
+    down to MIN_DAMPING lowered the residual, or the Newton system was
+    singular) or "geometry" (the start or a Jacobian evaluation gave no valid
+    body).  ``residual_history`` holds the sup residual max|alpha - a| at
+    the start and after each step, so it has ``iterations + 1`` entries and
+    falls strictly; it is empty when the start is invalid.
+    """
 
     psi: PotentialVector
     converged: bool
     iterations: int
-    k_history: list = field(default_factory=list)
-    grad_norm_history: list = field(default_factory=list)
-    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    stop_reason: str
+    residual_history: list = field(default_factory=list)
+    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))   # |alpha - a| / a
     body: HyperbolicPolytope | None = None
     condition_report: ConditionReport | None = None
-    clamp_events: int = 0
-    restarts_used: int = 0
-    grid_level: int = DEFAULT_GRID_LEVEL
+    restarts_used: int = 0      # the solve never restarts
     wall_time: float = 0.0
     extraction_error: str | None = None
 
 
-def _objective_terms(kernel: SupportKernel, mu: DiscreteMeasure, psi: np.ndarray,
-                     want_masses: bool):
-    masses, f_total = kernel.cell_sums(np.exp(psi), want_objective=True)
-    k_val = f_total + math.fsum(mu.weights * G_psi(psi))
-    return (k_val, masses) if want_masses else (k_val, None)
-
-
-def _solver_state(kernel, mu, psi):
-    """Objective, cell masses, and the diagonal step scale at psi.
-
-    The returned scale approximates |d grad / d psi| per coordinate (the
-    a_i g' term plus the kernel's mass response); directions grad/scale keep
-    the ascent first-order but counter the stiffness of the m=2 soft band.
-    For m=1 the kernel offers no response and the scale is None.
-    """
-    masses, f_total, response = kernel.solver_sweep(np.exp(psi), True)
-    k_val = f_total + math.fsum(mu.weights * G_psi(psi))
-    scale = None
-    if response is not None:
-        scale = np.maximum(mu.weights * g_psi_prime(psi) + response, 1e-12)
-    return k_val, masses, scale
+def _values(psi: PotentialVector | np.ndarray) -> np.ndarray:
+    return psi.values if isinstance(psi, PotentialVector) else np.asarray(psi, float)
 
 
 def dual_objective(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
                    grid: QuadratureGrid) -> float:
     """K(psi): sphere integral of F(phi) plus the mu-weighted sum of G(psi)."""
-    values = psi.values if isinstance(psi, PotentialVector) else np.asarray(psi, float)
+    values = _values(psi)
     kernel = kernel_for(mu.m, mu.points, grid)
-    k_val, _ = _objective_terms(kernel, mu, values, want_masses=False)
-    return k_val
+    _, f_total = kernel.cell_sums(np.exp(values), want_objective=True)
+    return f_total + math.fsum(mu.weights * G_psi(values))
 
 
 def dual_gradient(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
                   grid: QuadratureGrid) -> np.ndarray:
     """Gradient of K: component i is a_i g(psi_i) minus the mass of cell i."""
-    values = psi.values if isinstance(psi, PotentialVector) else np.asarray(psi, float)
+    values = _values(psi)
     kernel = kernel_for(mu.m, mu.points, grid)
     masses, _ = kernel.cell_sums(np.exp(values))
     return mu.weights * g_psi(values) - masses
@@ -126,7 +113,7 @@ def dual_gradient(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
 def transport_residuals(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
                         grid: QuadratureGrid) -> np.ndarray:
     """Relative per-cell transport balance |cell mass - a_i g(psi_i)| / (a_i g)."""
-    values = psi.values if isinstance(psi, PotentialVector) else np.asarray(psi, float)
+    values = _values(psi)
     kernel = kernel_for(mu.m, mu.points, grid)
     masses, _ = kernel.cell_sums(np.exp(values))
     target = mu.weights * g_psi(values)
@@ -136,12 +123,10 @@ def transport_residuals(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
 def extract_body(psi: PotentialVector, mu: DiscreteMeasure) -> HyperbolicPolytope:
     """Convex body whose radial scale matches the potential: r_i = artanh(e^psi_i).
 
-    At a true maximizer every support direction is an extreme vertex; a
-    NonExtremeVertexError here signals a failed optimization or an
-    inadmissible measure.
+    Raises NonExtremeVertexError (or another HypcurvError) when some support
+    direction is not an extreme vertex of the body the potential describes.
     """
-    radii = np.arctanh(np.exp(psi.values))
-    return from_vertices(mu.m, mu.points, radii)
+    return from_vertices(mu.m, mu.points, np.arctanh(np.exp(psi.values)))
 
 
 def _ball_heuristic_psi(mu: DiscreteMeasure) -> float:
@@ -152,128 +137,82 @@ def _ball_heuristic_psi(mu: DiscreteMeasure) -> float:
     return float(np.log(np.tanh(max(r0, 1e-3))))
 
 
-def _gradient_at(kernel, mu, psi):
-    masses, _ = kernel.cell_sums(np.exp(psi))
-    return mu.weights * g_psi(psi) - masses
+def _angles(mu: DiscreteMeasure, psi: np.ndarray):
+    """The body with potentials psi and its exterior angles; raises if it is invalid."""
+    body = from_vertices(mu.m, mu.points, np.arctanh(np.exp(psi)))
+    return body, curvature_measure_angles(body).weights
 
 
-def _capped_trial(psi: np.ndarray, alpha: float, grad: np.ndarray,
-                  floor: float) -> np.ndarray:
-    """Projected trial step with a per-coordinate trust region.
+def _column_groups(body: HyperbolicPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """Facet-neighbourhood mask and a greedy colouring of the Jacobian's columns.
 
-    |psi_i| may shrink by at most 4x and grow by at most 4x per step; the
-    shrink cap keeps iterates away from the psi -> 0 boundary, where g blows
-    up and the grid cannot resolve the near-singular cell mass, so a single
-    overeager step would otherwise clamp and stall there.
+    ``hood[i, j]`` is set when vertices i and j share a facet (or i == j);
+    alpha_i depends on psi_j only there.  Columns j and k may share a colour
+    when no row's neighbourhood holds both.
     """
-    upper = np.minimum(0.25 * psi, -floor)
-    return np.clip(psi + alpha * grad, 4.0 * psi, upper)
+    n = body.n_vertices
+    hood = np.eye(n, dtype=bool)
+    for facet in body.facet_vertices:
+        idx = np.asarray(facet)
+        hood[np.ix_(idx, idx)] = True
+    clash = (hood.T.astype(int) @ hood.astype(int)) > 0
+    colour = np.full(n, -1)
+    for j in range(n):
+        used = set(colour[clash[j]].tolist())
+        colour[j] = next(c for c in range(n) if c not in used)
+    return hood, colour
 
 
-def _ascend(kernel: SupportKernel, mu: DiscreteMeasure, psi0: np.ndarray,
-            cfg: SolverConfig, tol_grad: float):
-    psi = np.minimum(psi0, -cfg.psi_floor)
-    k_val, masses, scale = _solver_state(kernel, mu, psi)
-    k_hist: list[float] = []
-    g_hist: list[float] = []
-    clamps = 0
-    step = cfg.step0
-    converged = False
-    iters = 0
-    prev_psi = prev_grad = None
-
-    # phase 1: Armijo-backtracked ascent on K (monotone by construction)
-    while iters < cfg.max_iter:
-        grad = mu.weights * g_psi(psi) - masses
-        gnorm = float(np.abs(grad).max())
-        residual = np.abs(grad) / (mu.weights * g_psi(psi))
-        k_hist.append(k_val)
-        g_hist.append(gnorm)
-        iters += 1
-        if gnorm <= tol_grad and residual.max() <= cfg.tol_el:
-            converged = True
-            break
-        if scale is not None:
-            direction = grad / scale
-            alpha = min(step * 2.0, 8.0)
-        else:
-            direction = grad
-            alpha = min(step * 2.0, 1e3)
-            if prev_psi is not None:
-                # spectral (Barzilai-Borwein) trial step, Armijo-safeguarded
-                d_psi = psi - prev_psi
-                d_grad = grad - prev_grad
-                denom = -float(d_psi @ d_grad)
-                if denom > 0:
-                    alpha = float(np.clip((d_psi @ d_psi) / denom, 1e-6, 1e3))
-            prev_psi, prev_grad = psi, grad
-        accepted = False
-        while alpha > 1e-14:
-            trial = _capped_trial(psi, alpha, direction, cfg.psi_floor)
-            delta = trial - psi
-            if np.abs(delta).max() == 0.0:
-                break
-            k_trial, masses_trial, scale_trial = _solver_state(kernel, mu, trial)
-            # Once c1 * grad.delta is below K's rounding the Armijo bound equals
-            # k_val, so without the strict rise phase 1 accepts null steps and
-            # spins to max_iter instead of handing over to phase 2.
-            if k_trial > k_val and k_trial >= k_val + cfg.armijo_c1 * float(grad @ delta):
-                if np.any(trial >= -cfg.psi_floor):
-                    clamps += 1
-                psi, k_val, masses, scale = trial, k_trial, masses_trial, scale_trial
-                step = alpha
-                accepted = True
-                break
-            alpha *= cfg.backtrack
-        if not accepted:
-            break
-
-    # phase 2: K is flat to machine precision near the top, but the gradient
-    # is still computed to full accuracy; continue with scaled projected-
-    # gradient steps, accepted when the residual energy grad' D^-1 grad
-    # decreases.  D is frozen on entry so the energy is measured in one fixed
-    # metric (monotone for small enough steps near a nondegenerate maximum);
-    # the stopping rule still uses the sup norm.
-    if not converged:
-        frozen = scale if scale is not None else np.ones_like(psi)
-        grad = mu.weights * g_psi(psi) - masses
-        energy = float(grad @ (grad / frozen))
-        alpha = step
-        while iters < cfg.max_iter:
-            iters += 1
-            improved = False
-            trial_alpha = min(alpha * 2.0, 8.0 if scale is not None else 1e3)
-            direction = grad / frozen
-            for _ in range(60):
-                trial = _capped_trial(psi, trial_alpha, direction, cfg.psi_floor)
-                if np.abs(trial - psi).max() == 0.0:
-                    break
-                g_trial = _gradient_at(kernel, mu, trial)
-                e_trial = float(g_trial @ (g_trial / frozen))
-                if e_trial < energy:
-                    psi, grad, energy = trial, g_trial, e_trial
-                    alpha = trial_alpha
-                    improved = True
-                    break
-                trial_alpha *= 0.5
-            if not improved:
-                break
-            gnorm = float(np.abs(grad).max())
-            g_hist.append(gnorm)
-            residual = np.abs(grad) / (mu.weights * g_psi(psi))
-            if gnorm <= tol_grad and residual.max() <= cfg.tol_el:
-                converged = True
-                break
-        masses, _ = kernel.cell_sums(np.exp(psi))
-        k_val = k_hist[-1] if k_hist else dual_objective_raw(kernel, mu, psi)
-
-    residual = np.abs(mu.weights * g_psi(psi) - masses) / (mu.weights * g_psi(psi))
-    return psi, k_val, converged, iters, k_hist, g_hist, residual, clamps
+def _jacobian(mu: DiscreteMeasure, psi: np.ndarray, body: HyperbolicPolytope) -> np.ndarray:
+    """d alpha / d psi by grouped central differences; raises on an invalid body."""
+    hood, colour = _column_groups(body)
+    jac = np.zeros((mu.size, mu.size))
+    for c in range(colour.max() + 1):
+        cols = colour == c
+        bump = FD_STEP * cols
+        slope = (_angles(mu, psi + bump)[1] - _angles(mu, psi - bump)[1]) / (2.0 * FD_STEP)
+        # each row sees at most one column of the group
+        jac[:, cols] = np.where(hood[:, cols], slope[:, None], 0.0)
+    return jac
 
 
-def dual_objective_raw(kernel, mu, psi):
-    k_val, _ = _objective_terms(kernel, mu, psi, want_masses=False)
-    return k_val
+def _newton(mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
+    """Damped Newton on alpha(psi) = a from a valid start.
+
+    Returns (psi, body, alpha, residual history, stop reason).
+    """
+    body, alpha = _angles(mu, psi)
+    history = [float(np.abs(alpha - mu.weights).max())]
+    tol = cfg.tol * mu.total
+    while history[-1] > tol:
+        if len(history) > cfg.max_iter:
+            return psi, body, alpha, history, "max_iter"
+        try:
+            step = np.linalg.solve(_jacobian(mu, psi, body), mu.weights - alpha)
+        except np.linalg.LinAlgError:
+            return psi, body, alpha, history, "damping"
+        except (HypcurvError, ValueError):
+            return psi, body, alpha, history, "geometry"
+        damping = 1.0
+        while True:
+            trial = psi + damping * step
+            # PotentialVector's domain; also keeps arctanh(e^psi) finite and
+            # rejects a NaN step
+            if trial.max() < -PSI_FLOOR:
+                try:
+                    trial_body, trial_alpha = _angles(mu, trial)
+                except (HypcurvError, ValueError):
+                    pass
+                else:
+                    res = float(np.abs(trial_alpha - mu.weights).max())
+                    if res < history[-1]:
+                        break
+            damping *= 0.5
+            if damping < MIN_DAMPING:
+                return psi, body, alpha, history, "damping"
+        psi, body, alpha = trial, trial_body, trial_alpha
+        history.append(res)
+    return psi, body, alpha, history, "converged"
 
 
 def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
@@ -281,10 +220,11 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
     """Reconstruct the convex body whose curvature measure is mu.
 
     Checks the admissibility conditions first (hard precondition unless
-    ``force`` is set), then runs projected gradient ascent from the ball
-    heuristic, restarting from seeded perturbations on non-convergence.
-    The returned report carries the potential, histories, per-cell residuals
-    and, when extraction succeeds, the recovered body.
+    ``force`` is set), then runs damped Newton from the ball heuristic.  The
+    returned report carries the potential, the residual history, the
+    relative per-atom residuals and, when the potential describes a valid
+    body, that body.  With ``force`` it never raises: an invalid start gives
+    an unconverged report with ``extraction_error`` set.
     """
     cfg = config or SolverConfig()
     start = time.perf_counter()
@@ -293,43 +233,28 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
     if not cond.all_ok and not force:
         raise PreconditionError(cond)
 
-    level = DEFAULT_GRID_LEVEL if cfg.grid_level is None else cfg.grid_level
-    grid = build_grid(mu.m, level)
-    kernel = kernel_for(mu.m, mu.points, grid)
-    tol_grad = cfg.tol_grad if cfg.tol_grad is not None else 1e-8 * mu.total
-
-    psi0_base = np.full(mu.size, _ball_heuristic_psi(mu))
-    rng = np.random.default_rng(cfg.seed)
-    best = None
-    restarts_used = 0
-    for attempt in range(cfg.restarts + 1):
-        psi0 = psi0_base.copy()
-        if attempt > 0:
-            restarts_used += 1
-            psi0 = psi0_base * np.exp(rng.normal(0.0, 0.25, size=mu.size))
-        result = _ascend(kernel, mu, psi0, cfg, tol_grad)
-        if best is None or result[1] > best[1] or (result[2] and not best[2]):
-            best = result
-        if best[2]:
-            break
-
-    psi_arr, _, converged, iters, k_hist, g_hist, residual, clamps = best
-    psi = PotentialVector(mu.m, mu.points, psi_arr)
-    report = SolveReport(
-        psi=psi,
-        converged=converged,
-        iterations=iters,
-        k_history=k_hist,
-        grad_norm_history=g_hist,
-        residuals=residual,
+    psi0 = np.full(mu.size, _ball_heuristic_psi(mu))
+    try:
+        psi, body, alpha, history, reason = _newton(mu, psi0, cfg)
+    except (HypcurvError, ValueError) as exc:
+        return SolveReport(
+            psi=PotentialVector(mu.m, mu.points, psi0),
+            converged=False,
+            iterations=0,
+            stop_reason="geometry",
+            residuals=np.full(mu.size, np.inf),
+            condition_report=cond,
+            wall_time=time.perf_counter() - start,
+            extraction_error=str(exc),
+        )
+    return SolveReport(
+        psi=PotentialVector(mu.m, mu.points, psi),
+        converged=reason == "converged",
+        iterations=len(history) - 1,
+        stop_reason=reason,
+        residual_history=history,
+        residuals=np.abs(alpha - mu.weights) / mu.weights,
+        body=body,
         condition_report=cond,
-        clamp_events=clamps,
-        restarts_used=restarts_used,
-        grid_level=level,
         wall_time=time.perf_counter() - start,
     )
-    try:
-        report.body = extract_body(psi, mu)
-    except HypcurvError as exc:
-        report.extraction_error = str(exc)
-    return report

@@ -25,6 +25,16 @@ def dirs_from_angles(angles):
 
 
 class TestConstruction:
+    def test_random_polygon_many_vertices(self):
+        # uniform directions almost never meet the separation rule here, so
+        # these draws come from the jittered equal-spacing fallback
+        for n in range(10, 33):
+            for seed in range(5):
+                poly = random_polytope(1, n, np.random.default_rng(seed))
+                assert poly.n_vertices == n
+                assert 0.4 <= poly.radii.min() and poly.radii.max() <= 1.6
+                assert curvature_measure_angles(poly).weights.min() >= 0.01
+
     def test_square_symmetric_facets(self, square):
         assert square.n_vertices == 4
         assert len(square.facet_supports) == 4

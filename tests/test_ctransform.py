@@ -139,6 +139,20 @@ def test_near_minimum_inequality(grid_m1, solved):
         assert gap <= hc.cost(xi0, xi) + 1e-4
 
 
+def test_kernel_cache_keys_on_support_bytes(monkeypatch, grid_m1):
+    # with a constant hash every same-sized support collides; the cache must
+    # still tell the supports apart
+    monkeypatch.setattr(hc.ctransform, "hash", lambda _: 0, raising=False)
+    monkeypatch.setattr(hc.ctransform, "_kernel_cache", {})
+    first = dirs_from_angles([0.0, 2.0, 4.0])
+    second = dirs_from_angles([0.5, 2.5, 4.5])
+    kern = hc.ctransform.kernel_for(1, first, grid_m1)
+    other = hc.ctransform.kernel_for(1, second, grid_m1)
+    assert other is not kern
+    assert np.array_equal(other.points, second)
+    assert hc.ctransform.kernel_for(1, first.copy(), grid_m1) is kern
+
+
 def test_uncovered_direction_error():
     support = dirs_from_angles([0.0, 0.1, -0.1])
     psi = PotentialVector(1, support, np.full(3, -1.0))
