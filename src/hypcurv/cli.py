@@ -23,7 +23,7 @@ from .bodies import (
 )
 from .crofton import crofton_compare
 from .errors import HypcurvError, PreconditionError
-from .measures import DiscreteMeasure, check_conditions
+from .measures import EXHAUSTIVE_MAX_ATOMS, DiscreteMeasure, check_conditions
 from .quadrature import build_grid
 from .solver import SolverConfig, solve
 
@@ -59,7 +59,7 @@ def _grid_for(args, m: int):
 
 def _cmd_check(args) -> int:
     mu = hio.load_measure(args.measure)
-    mode = "exhaustive" if mu.size <= 20 else "sampled"
+    mode = "exhaustive" if mu.size <= EXHAUSTIVE_MAX_ATOMS else "sampled"
     report = check_conditions(mu, mode=mode, seed=args.seed)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.all_ok else EXIT_VALIDATION

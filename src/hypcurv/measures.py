@@ -9,12 +9,25 @@ spherical hulls of subsets of the support: any convex omega meets the same
 support points as the hull of (omega intersect support), and shrinking omega
 to that hull only enlarges the polar, so the minimum slack over subset hulls
 equals the true infimum.
+
+The exhaustive m=2 check (N <= EXHAUSTIVE_MAX_ATOMS) evaluates all 2^N - 1
+subsets as bit masks, 2^16 at a time.  Each ordered pair with
+|p_i x p_j| >= 1e-8 gets c_ij = unit(p_i x p_j), d_ij = atan2(|p_i x p_j|,
+p_i.p_j) and the masks E_ij = {k : c_ij.p_k >= -1e-12}, L_ij = {k : c_ij.p_k
+>= -_CONTAIN_EPS} and Z_ij = {k not in {i, j} : |c_ij.p_k| <= 1e-8}.  (i, j) is
+a hull edge of S when i, j are in S and S lies in E_ij.  The polar of a
+spherical convex polygon has area 2 pi minus its perimeter, the sum of d_ij
+over the edges; the covered points are the AND of L_ij; a subset with no edge
+is the full sphere.  Degenerate subsets (at most 2 points, a pair with
+|p_i x p_j| < 1e-8, or meeting the Z_ij of one of their pairs) go through the
+per-subset hull ``_cone_hull``.  The witness is the first subset in (size,
+lexicographic) order whose slack lies within 1e-15 of the minimum.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -26,6 +39,14 @@ COND_EPS_FACTOR = 1e-9
 
 # Points within this slack of a hull's boundary count as contained.
 _CONTAIN_EPS = 1e-10
+
+# The m=2 check enumerates every support subset up to this many atoms.
+EXHAUSTIVE_MAX_ATOMS = 20
+
+_PAIR_EPS = 1e-8     # |p_i x p_j| below this: near-parallel pair
+_EDGE_EPS = 1e-12    # dual-ray test of a hull edge
+_PLANE_EPS = 1e-8    # a third point this close to an edge's great circle
+_BLOCK = 1 << 16     # subset masks evaluated at once
 
 _FULL = "full"
 _ARC = "arc"
@@ -119,11 +140,13 @@ def _arc_hull(points: np.ndarray) -> SphericalConvexSet:
 
 
 def _dedupe_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for r in rows:
-        if all(np.linalg.norm(r - k) > tol for k in kept):
-            kept.append(r)
-    return np.asarray(kept)
+    """Rows in order, each dropped when within tol of an earlier kept row."""
+    close = np.linalg.norm(rows[:, None] - rows[None], axis=2) <= tol
+    kept: list[int] = []
+    for k in range(len(rows)):
+        if not close[k, kept].any():
+            kept.append(k)
+    return rows[kept]
 
 
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,13 +154,6 @@ def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 = seed - (seed @ normal) * normal
     e1 /= np.linalg.norm(e1)
     return e1, np.cross(normal, e1)
-
-
-def _angular_span(angles: np.ndarray) -> float:
-    """Width of the smallest sector containing all angles, in [0, 2*pi)."""
-    angles = np.sort(angles % (2.0 * np.pi))
-    gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
-    return float(2.0 * np.pi - gaps.max())
 
 
 def _cone_hull(points: np.ndarray) -> SphericalConvexSet:
@@ -161,37 +177,34 @@ def _cone_hull(points: np.ndarray) -> SphericalConvexSet:
     if rank == 2:
         normal = vt[2] / np.linalg.norm(vt[2])
         e1, e2 = _plane_basis(normal)
-        ang = np.arctan2(pts @ e2, pts @ e1)
-        span = _angular_span(ang)
+        ang = np.arctan2(pts @ e2, pts @ e1) % (2.0 * np.pi)
+        order = np.argsort(ang)
+        angles = ang[order]
+        gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
+        widest = int(np.argmax(gaps))
+        span = float(2.0 * np.pi - gaps[widest])  # smallest sector holding every ray
         if span > np.pi:  # rays wrap more than a half turn: dual collapses
             gens = np.array([normal, -normal])
             return SphericalConvexSet(2, _CONE, extreme_rays=pts,
                                       dual_generators=gens, polar_area=0.0)
         # dual = wedge around +-normal; in-plane generators close the sector
-        angles = np.sort(ang % (2.0 * np.pi))
-        gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
-        widest = int(np.argmax(gaps))
         a_lo = angles[(widest + 1) % len(angles)]
         a_hi = a_lo + span
         g1 = np.cos(a_hi + 0.5 * np.pi) * e1 + np.sin(a_hi + 0.5 * np.pi) * e2
         g2 = np.cos(a_lo - 0.5 * np.pi) * e1 + np.sin(a_lo - 0.5 * np.pi) * e2
         gens = np.array([normal, -normal, g1, g2])
         area = 2.0 * max(0.0, np.pi - span)
-        return SphericalConvexSet(2, _CONE, extreme_rays=pts,
+        ends = order[[(widest + 1) % len(angles), widest]]  # the arc's two ends
+        return SphericalConvexSet(2, _CONE, extreme_rays=pts[ends],
                                   dual_generators=gens, polar_area=float(area))
 
     # rank 3: candidate dual rays are normals of support-plane pairs
-    rays = []
-    n = len(pts)
-    for i, j in combinations(range(n), 2):
-        cr = np.cross(pts[i], pts[j])
-        norm = np.linalg.norm(cr)
-        if norm < 1e-12:
-            continue
-        for cand in (cr / norm, -cr / norm):
-            if np.max(pts @ cand) <= 1e-12:
-                rays.append(cand)
-    rays = _dedupe_rows(np.asarray(rays)) if rays else np.zeros((0, 3))
+    i, j = np.triu_indices(len(pts), 1)
+    cr = np.cross(pts[i], pts[j])
+    norm = np.linalg.norm(cr, axis=1)
+    unit = cr[norm >= 1e-12] / norm[norm >= 1e-12, None]
+    cand = np.stack([unit, -unit], axis=1).reshape(-1, 3)
+    rays = _dedupe_rows(cand[np.max(cand @ pts.T, axis=1, initial=-np.inf) <= 1e-12])
     if len(rays) == 0:
         return SphericalConvexSet(2, _FULL)
     if len(rays) < 3:
@@ -205,30 +218,11 @@ def _cone_hull(points: np.ndarray) -> SphericalConvexSet:
     from .bodies import spherical_polygon_area
 
     area = spherical_polygon_area(rays)
-    return SphericalConvexSet(2, _CONE, extreme_rays=_extreme_subset(pts),
+    # the corner between consecutive dual rays lies on both of their planes
+    corners = np.cross(rays, np.roll(rays, -1, axis=0))
+    extreme = np.argmax(np.abs(pts @ corners.T), axis=0)
+    return SphericalConvexSet(2, _CONE, extreme_rays=pts[extreme],
                               dual_generators=rays, polar_area=float(area))
-
-
-def _extreme_subset(pts: np.ndarray) -> np.ndarray:
-    """Extreme rays of the conical hull, ordered, for pointed full-rank input."""
-    mean = pts.mean(axis=0)
-    norm = np.linalg.norm(mean)
-    if norm < 1e-12:
-        return pts
-    mean /= norm
-    proj = pts @ mean
-    if proj.min() <= 1e-12:
-        return pts
-    plane = pts / proj[:, None]
-    try:
-        from scipy.spatial import ConvexHull, QhullError
-
-        e1, e2 = _plane_basis(mean)
-        coords = np.column_stack([plane @ e1, plane @ e2])
-        hull = ConvexHull(coords)
-        return pts[hull.vertices]
-    except Exception:
-        return pts
 
 
 def spherical_hull(points: np.ndarray, m: int | None = None) -> SphericalConvexSet:
@@ -268,6 +262,8 @@ class ConditionReport:
     alexandrov_slack: float
     worst_witness: tuple
     exhaustive: bool
+    subsets_evaluated: int          # subsets (m=2) or arcs (m=1) whose slack was computed
+    wall_time: float
 
     @property
     def all_ok(self) -> bool:
@@ -284,6 +280,8 @@ class ConditionReport:
             "alexandrov_slack": self.alexandrov_slack,
             "worst_witness": list(self.worst_witness),
             "exhaustive": self.exhaustive,
+            "subsets_evaluated": self.subsets_evaluated,
+            "wall_time": self.wall_time,
             "all_ok": self.all_ok,
         }
 
@@ -295,50 +293,106 @@ def _alexandrov_m1(mu: DiscreteMeasure):
     best = np.inf
     witness: tuple = ()
     n = mu.size
+    arcs = 0
     for i in range(n):
         for j in range(n):
             length = (angles[j] - angles[i]) % (2.0 * np.pi)
             if length >= np.pi:
                 continue
+            arcs += 1
             rel = (angles - angles[i]) % (2.0 * np.pi)
             inside = (rel <= length + _CONTAIN_EPS) | (rel >= 2.0 * np.pi - _CONTAIN_EPS)
             slack = (total - mu.weights[inside].sum()) - (np.pi - length)
             if slack < best - 1e-15:
                 best = slack
                 witness = tuple(sorted(int(t) for t in np.nonzero(inside)[0]))
-    return best, witness
+    return best, witness, arcs
 
 
-def _alexandrov_m2(mu: DiscreteMeasure, subsets):
-    total = mu.total
+def _subset_slack(mu: DiscreteMeasure, subset) -> float:
+    """Slack of one subset's hull, by its own dual cone; inf for the full sphere."""
+    hull = _cone_hull(mu.points[list(subset)])
+    gens = hull.dual_generators
+    if hull.is_full or gens is None or len(gens) == 0:
+        return np.inf
+    inside = np.all(mu.points @ gens.T <= _CONTAIN_EPS, axis=1)
+    return (mu.total - mu.weights[inside].sum()) - hull.polar_area
+
+
+def _alexandrov_sampled(mu: DiscreteMeasure, subsets):
     best = np.inf
     witness: tuple = ()
     for subset in subsets:
-        idx = np.asarray(subset, dtype=int)
-        hull = _cone_hull(mu.points[idx])
-        if hull.is_full:
-            continue
-        gens = hull.dual_generators
-        if gens is None or len(gens) == 0:
-            continue
-        inside = np.all(mu.points @ gens.T <= _CONTAIN_EPS, axis=1)
-        slack = (total - mu.weights[inside].sum()) - hull.polar_area
+        slack = _subset_slack(mu, subset)
         if slack < best - 1e-15:
             best = slack
-            witness = tuple(int(t) for t in idx)
+            witness = tuple(int(t) for t in subset)
     return best, witness
+
+
+def _mask_tuple(mask: int) -> tuple:
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def _alexandrov_exhaustive(mu: DiscreteMeasure):
+    """Minimal slack over all 2^N - 1 subset masks (see the module docstring)."""
+    pts, n = mu.points, mu.size
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    ends, cross = bits[i] | bits[j], np.cross(pts[i], pts[j])
+    norm = np.linalg.norm(cross, axis=1)
+    good = norm >= _PAIR_EPS
+    parallel = ends[~good]
+    i, j, ends, cross, norm = (a[good] for a in (i, j, ends, cross, norm))
+    arc = np.arctan2(norm, np.einsum("ij,ij->i", pts[i], pts[j]))  # every arc >= 1e-8
+    h = (cross / norm[:, None]) @ pts.T
+    inner = ((h >= -_EDGE_EPS) @ bits) | ends
+    cover = ((h >= -_CONTAIN_EPS) @ bits) | ends
+    pair, third = np.nonzero((np.abs(h) <= _PLANE_EPS) & (ends[:, None] & bits == 0))
+    bad = np.unique(np.concatenate([parallel, ends[pair] | bits[third]]))
+    # subset sums of the weights, one table per byte of a mask
+    byte = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    tables = [byte[:, :len(w)] @ w for w in np.split(mu.weights, range(8, n, 8))]
+    total = mu.total
+
+    best = np.inf
+    found: list[tuple[np.ndarray, np.ndarray]] = []
+    for lo in range(1, 1 << n, _BLOCK):
+        masks = np.arange(lo, min(lo + _BLOCK, 1 << n), dtype=np.int64)
+        polar = np.full(len(masks), 2.0 * np.pi)
+        covered = np.full(len(masks), (1 << n) - 1, dtype=np.int64)
+        for p in range(len(i)):
+            edge = ((masks & ~inner[p]) == 0) & ((masks & ends[p]) == ends[p])
+            np.subtract(polar, arc[p], out=polar, where=edge)
+            np.bitwise_and(covered, cover[p], out=covered, where=edge)
+        mass = sum(t[(covered >> (8 * b)) & 255] for b, t in enumerate(tables))
+        slack = np.where(polar < 2.0 * np.pi, (total - mass) - polar, np.inf)  # no edge: full
+        two = masks & (masks - 1)
+        degenerate = (two & (two - 1)) == 0  # at most 2 points
+        for b in bad:
+            degenerate |= (masks & b) == b
+        for k in np.flatnonzero(degenerate):
+            slack[k] = _subset_slack(mu, _mask_tuple(int(masks[k])))
+        low = float(slack.min())
+        best = min(best, low)
+        near_min = slack <= low + 1e-15
+        found.append((masks[near_min], slack[near_min]))
+    witnesses = [_mask_tuple(int(m)) for ms, sl in found for m in ms[sl <= best + 1e-15]]
+    return best, min(witnesses, key=lambda t: (len(t), t))
 
 
 def check_conditions(mu: DiscreteMeasure, mode: str = "exhaustive",
                      n_subsets: int = 4000, seed: int = 0) -> ConditionReport:
     """Run the three admissibility tests on a discrete measure.
 
-    ``mode`` is "exhaustive" (all support subsets; refused for N > 20) or
-    "sampled" (all singletons, all complements of singletons, and
-    ``n_subsets`` random subsets).  m=1 always enumerates every arc with
-    endpoints at support points, which is exact, so its report is marked
-    exhaustive regardless of mode.
+    ``mode`` is "exhaustive" (all support subsets, witness rule in the module
+    docstring; refused for N > ``EXHAUSTIVE_MAX_ATOMS``) or "sampled" (all
+    singletons, all complements of singletons, and ``n_subsets`` random
+    subsets).  m=1 always enumerates every arc with endpoints at support
+    points, which is exact, so its report is marked exhaustive regardless of
+    mode.
     """
+    start = time.perf_counter()
     if mode not in ("exhaustive", "sampled"):
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     validate_dimension(mu.m)
@@ -351,31 +405,28 @@ def check_conditions(mu: DiscreteMeasure, mode: str = "exhaustive",
     vmax = float(mu.weights[vmax_idx])
     vertex_ok = (0.5 * sphere - vmax) > eps
 
+    n = mu.size
+    exhaustive = mu.m == 1 or mode == "exhaustive"
     if mu.m == 1:
-        slack, witness = _alexandrov_m1(mu)
-        exhaustive = True
+        slack, witness, evaluated = _alexandrov_m1(mu)
+    elif exhaustive:
+        if n > EXHAUSTIVE_MAX_ATOMS:
+            raise ValueError(
+                f"exhaustive subset enumeration refused for N > {EXHAUSTIVE_MAX_ATOMS}; "
+                "use mode='sampled'"
+            )
+        slack, witness = _alexandrov_exhaustive(mu)
+        evaluated = (1 << n) - 1
     else:
-        n = mu.size
-        if mode == "exhaustive":
-            if n > 20:
-                raise ValueError(
-                    "exhaustive subset enumeration refused for N > 20; use mode='sampled'"
-                )
-            subsets = []
-            for size in range(1, n + 1):
-                subsets.extend(combinations(range(n), size))
-            exhaustive = True
-        else:
-            rng = np.random.default_rng(seed)
-            chosen = {(i,) for i in range(n)}
-            chosen |= {tuple(j for j in range(n) if j != i) for i in range(n)}
-            for _ in range(n_subsets):
-                mask = rng.random(n) < rng.uniform(0.15, 0.85)
-                if mask.any():
-                    chosen.add(tuple(int(i) for i in np.nonzero(mask)[0]))
-            subsets = sorted(chosen)
-            exhaustive = False
-        slack, witness = _alexandrov_m2(mu, subsets)
+        rng = np.random.default_rng(seed)
+        chosen = {(i,) for i in range(n)}
+        chosen |= {tuple(j for j in range(n) if j != i) for i in range(n)}
+        for _ in range(n_subsets):
+            mask = rng.random(n) < rng.uniform(0.15, 0.85)
+            if mask.any():
+                chosen.add(tuple(int(i) for i in np.nonzero(mask)[0]))
+        slack, witness = _alexandrov_sampled(mu, sorted(chosen))
+        evaluated = len(chosen)
     alexandrov_ok = bool(slack > eps)
 
     return ConditionReport(
@@ -388,4 +439,6 @@ def check_conditions(mu: DiscreteMeasure, mode: str = "exhaustive",
         alexandrov_slack=float(slack),
         worst_witness=witness,
         exhaustive=exhaustive,
+        subsets_evaluated=evaluated,
+        wall_time=time.perf_counter() - start,
     )

@@ -37,7 +37,8 @@ from .bodies import HyperbolicPolytope, curvature_measure_angles, from_vertices
 from .ctransform import PSI_FLOOR, PotentialVector, kernel_for
 from .densities import G_psi, g_psi
 from .errors import HypcurvError, PreconditionError
-from .measures import ConditionReport, DiscreteMeasure, check_conditions
+from .measures import (EXHAUSTIVE_MAX_ATOMS, ConditionReport, DiscreteMeasure,
+                       check_conditions)
 from .minkowski import sphere_measure
 from .quadrature import QuadratureGrid
 
@@ -228,7 +229,7 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
     """
     cfg = config or SolverConfig()
     start = time.perf_counter()
-    mode = "exhaustive" if (mu.m == 1 or mu.size <= 20) else "sampled"
+    mode = "exhaustive" if (mu.m == 1 or mu.size <= EXHAUSTIVE_MAX_ATOMS) else "sampled"
     cond = check_conditions(mu, mode=mode, seed=cfg.seed)
     if not cond.all_ok and not force:
         raise PreconditionError(cond)

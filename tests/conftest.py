@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 import hypcurv as hc
+
+# Property tests draw the same examples on every run, keep no example database
+# and write no patch files for failing examples.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          phases=[p for p in Phase if p != Phase.explain])
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -107,6 +107,7 @@ class TestCli:
         assert main(["check", str(fixture_dir / "measure_valid_3pt.json")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["all_ok"] and report["alexandrov_slack"] > 0
+        assert report["subsets_evaluated"] > 0 and report["wall_time"] > 0
         assert main(["check", str(fixture_dir / "measure_alexandrov_violating.json")]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["worst_witness"] == [0, 1, 2, 3]

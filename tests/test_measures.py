@@ -1,8 +1,13 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import hypcurv as hc
 from hypcurv.measures import (
+    EXHAUSTIVE_MAX_ATOMS,
     DiscreteMeasure,
     check_conditions,
     polar_sigma_area,
@@ -18,6 +23,25 @@ def dirs_from_angles(angles):
 
 def measure_m1(angles, weights):
     return DiscreteMeasure(1, dirs_from_angles(angles), np.asarray(weights, float))
+
+
+def cap_points(rng, n, radius):
+    """n uniform points in the cap of the given angular radius about a random center."""
+    center = hc.minkowski.random_unit_vectors(2, 1, rng)[0]
+    e1 = np.cross(center, rng.normal(size=3))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(center, e1)
+    tilt = np.arccos(rng.uniform(np.cos(radius), 1.0, size=n))
+    turn = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    ring = np.cos(turn)[:, None] * e1 + np.sin(turn)[:, None] * e2
+    return np.cos(tilt)[:, None] * center + np.sin(tilt)[:, None] * ring
+
+
+def perimeter(corners):
+    """Length of the closed spherical polygon through the ordered corners."""
+    nxt = np.roll(corners, -1, axis=0)
+    sines = np.linalg.norm(np.cross(corners, nxt), axis=1)
+    return float(np.arctan2(sines, np.einsum("ij,ij->i", corners, nxt)).sum())
 
 
 class TestValidation:
@@ -130,6 +154,23 @@ class TestHulls:
         with pytest.raises(ValueError):
             spherical_hull(np.zeros((0, 2)))
 
+    def test_extreme_rays_give_polar_area(self):
+        # the polar of a spherical convex polygon has area 2 pi - perimeter
+        rng = np.random.default_rng(0)
+        for trial in range(500):
+            pts = cap_points(rng, int(rng.integers(3, 9)), rng.uniform(0.05, 0.5 * np.pi - 1e-3))
+            hull = spherical_hull(pts)
+            gap = 2.0 * np.pi - perimeter(hull.extreme_rays) - hull.polar_area
+            assert abs(gap) <= 1e-12, f"draw {trial}: {gap}"
+            assert all(any(np.array_equal(r, p) for p in pts) for r in hull.extreme_rays)
+
+    def test_arc_extreme_rays_are_its_ends(self):
+        angles = np.array([0.1, 0.7, 0.4, 1.2])
+        pts = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(4)])
+        hull = spherical_hull(pts)
+        assert {tuple(r) for r in hull.extreme_rays} == {tuple(pts[0]), tuple(pts[3])}
+        assert 2.0 * np.pi - perimeter(hull.extreme_rays) == pytest.approx(hull.polar_area)
+
     def test_full_sphere_polar_rejected(self):
         full = spherical_hull(dirs_from_angles([0.0, 2.0, 4.0]))
         with pytest.raises(ValueError):
@@ -167,12 +208,28 @@ class TestConditions:
         assert not rep.total_mass_ok
 
     def test_exhaustive_refused_above_20(self):
+        assert EXHAUSTIVE_MAX_ATOMS == 20
         rng = np.random.default_rng(2)
         pts = hc.minkowski.random_unit_vectors(2, 21, rng)
         mu = DiscreteMeasure(2, pts, np.ones(21))
         with pytest.raises(ValueError):
             check_conditions(mu, mode="exhaustive")
         check_conditions(mu, mode="sampled", n_subsets=50, seed=0)
+
+    def test_report_counts_subsets_and_time(self, octahedron):
+        mu = hc.curvature_measure_angles(octahedron)
+        full = check_conditions(mu)
+        assert full.subsets_evaluated == 2 ** 6 - 1
+        samp = check_conditions(mu, mode="sampled", n_subsets=5, seed=0)
+        assert 12 <= samp.subsets_evaluated <= 12 + 5
+        # m=1: every arc shorter than a half turn between two support points
+        arcs = check_conditions(measure_m1([0.0, 2.0, 4.0], [2.5, 2.5, 2.5]))
+        assert arcs.subsets_evaluated == 3 + 3
+        for rep in (full, samp, arcs):
+            assert 0.0 < rep.wall_time < 60.0
+            d = rep.to_dict()
+            assert d["subsets_evaluated"] == rep.subsets_evaluated
+            assert d["wall_time"] == rep.wall_time
 
     def test_forward_measures_pass(self, grid_m1, octahedron):
         rng = np.random.default_rng(3)
@@ -221,3 +278,96 @@ def test_alexandrov_agrees_with_brute_force():
         # the brute-force scan only lower-bounds sigma(omega*) up to grid step
         assert brute >= exact - 1e-9
         assert brute <= exact + 0.05
+
+
+def oracle_slacks(mu):
+    """Slack of every subset's hull, one subset at a time, by the public hull API."""
+    total = mu.weights.sum()
+    slacks = {}
+    for size in range(1, mu.size + 1):
+        for subset in combinations(range(mu.size), size):
+            hull = spherical_hull(mu.points[list(subset)])
+            if hull.is_full:
+                continue
+            inside = np.array([hull.contains(q) for q in mu.points])
+            slacks[subset] = (total - mu.weights[inside].sum()) - polar_sigma_area(hull)
+    return slacks
+
+
+def regular_measure(directions):
+    return hc.curvature_measure_angles(hc.from_vertices(2, directions, np.ones(len(directions))))
+
+
+def cross_check_measures():
+    rng = np.random.default_rng(8)
+    octa = np.vstack([np.eye(3), -np.eye(3)])
+    cube = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)]) / np.sqrt(3)
+    cases = [("octahedron", regular_measure(octa)), ("cube", regular_measure(cube)),
+             ("icosahedron", regular_measure(hc.build_grid(2, 0).nodes))]
+    for k in range(6):
+        body = hc.random_polytope(2, int(rng.integers(4, 11)), rng)
+        cases.append((f"body {k}", hc.curvature_measure_angles(body)))
+    for k, n in enumerate((3, 5, 8, 12)):
+        pts = hc.minkowski.random_unit_vectors(2, n, rng)
+        cases.append((f"weights {k}", DiscreteMeasure(2, pts, rng.uniform(0.2, 4.0, size=n))))
+    body = hc.curvature_measure_angles(hc.random_polytope(2, 9, rng))
+    cases.append(("total-mass violator",
+                  DiscreteMeasure(2, body.points, body.weights * (4 * np.pi / body.total))))
+    weights = body.weights.copy()
+    weights[0] = 2 * np.pi + 0.3
+    cases.append(("vertex violator", DiscreteMeasure(2, body.points, weights)))
+    cluster = np.vstack([cap_points(rng, 7, 0.3), hc.minkowski.random_unit_vectors(2, 3, rng)])
+    cases.append(("cluster violator",
+                  DiscreteMeasure(2, cluster, np.r_[np.full(7, 2.0), np.full(3, 0.5)])))
+    return [pytest.param(name, mu, id=name) for name, mu in cases]
+
+
+@pytest.mark.parametrize("name, mu", cross_check_measures())
+def test_exhaustive_matches_per_subset_oracle(name, mu):
+    rep = check_conditions(mu)
+    slacks = oracle_slacks(mu)
+    best = min(slacks.values())
+    assert rep.exhaustive and rep.subsets_evaluated == 2 ** mu.size - 1
+    assert rep.alexandrov_slack == pytest.approx(best, abs=1e-12)
+    assert slacks[rep.worst_witness] == pytest.approx(best, abs=1e-12)
+    if "violator" in name:
+        broken = {"total-mass": rep.total_mass_ok, "vertex": rep.vertex_ok,
+                  "cluster": rep.alexandrov_ok}
+        assert not broken[name.split()[0]]
+
+
+def test_exhaustive_sixteen_atoms_bounds_sampled():
+    rng = np.random.default_rng(9)
+    mu = DiscreteMeasure(2, hc.minkowski.random_unit_vectors(2, 16, rng),
+                         rng.uniform(0.5, 2.0, size=16))
+    full = check_conditions(mu)
+    samp = check_conditions(mu, mode="sampled", n_subsets=500, seed=0)
+    assert full.subsets_evaluated == 2 ** 16 - 1
+    assert samp.alexandrov_slack >= full.alexandrov_slack - 1e-12
+
+
+turns = st.floats(0.0, 2.0 * np.pi, allow_subnormal=False)
+cap_offsets = st.lists(st.tuples(st.floats(0.0, 1.0, allow_subnormal=False), turns),
+                       min_size=3, max_size=8)
+
+
+@given(st.floats(0.0, np.pi, allow_subnormal=False), turns,
+       st.floats(0.05, 0.5 * np.pi - 1e-3), cap_offsets)
+def test_polar_area_is_two_pi_minus_perimeter(polar, azimuth, radius, offsets):
+    center = np.array([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                       np.cos(polar)])
+    e1 = np.cross(center, np.eye(3)[int(np.argmin(np.abs(center)))])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(center, e1)
+    # uniform in the cap: cos(tilt) uniform on [cos(radius), 1]
+    tilt = np.arccos(1.0 - np.array([u for u, _ in offsets]) * (1.0 - np.cos(radius)))
+    turn = np.array([t for _, t in offsets])
+    pts = (np.cos(tilt)[:, None] * center
+           + np.sin(tilt)[:, None] * (np.cos(turn)[:, None] * e1 + np.sin(turn)[:, None] * e2))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    # general position: no two points within 1e-3, no three within 1e-6 of a great circle
+    pairs = list(combinations(pts, 2))
+    assume(min(np.linalg.norm(p - q) for p, q in pairs) > 1e-3)
+    assume(min(abs(np.cross(p, q) @ r) for p, q, r in combinations(pts, 3)) > 1e-6)
+    hull = spherical_hull(pts)
+    assert abs(2.0 * np.pi - perimeter(hull.extreme_rays) - hull.polar_area) <= 1e-12
