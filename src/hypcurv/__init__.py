@@ -4,10 +4,9 @@ The package computes the curvature measure of a convex polytope in
 hyperbolic space (by two independent routes), verifies the admissibility
 conditions a spherical measure must satisfy to be such a curvature measure,
 and solves the inverse problem: reconstructing the unique convex body with a
-prescribed discrete curvature measure by maximizing a nonlinear dual
-functional over potentials.  A Monte-Carlo integral-geometry module
-cross-checks polar boundary areas against intersection counts with random
-space-like geodesics.
+prescribed discrete curvature measure by damped Newton on its exact exterior
+angles.  A Monte-Carlo integral-geometry module cross-checks polar boundary
+areas against intersection counts with random space-like geodesics.
 """
 
 from .bodies import (

@@ -460,6 +460,25 @@ def _sampled_body(m, dirs, radii, min_exterior):
     return poly
 
 
+def _jittered_directions(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n separated directions: equal spacing on S^1, each moved by at most a
+    quarter step; on S^2 a Fibonacci spiral with each point moved by at most
+    0.15 sqrt(4 pi / n) per coordinate, then turned by a random orthogonal map."""
+    from .minkowski import normalize_rows
+
+    if m == 1:
+        theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.25, 0.25, size=n)) / n
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    azimuth = np.pi * (3.0 - np.sqrt(5.0)) * k
+    rho = np.sqrt(1.0 - z * z)
+    spiral = np.column_stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z])
+    turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    jitter = 0.15 * np.sqrt(4.0 * np.pi / n) * rng.uniform(-1.0, 1.0, size=(n, 3))
+    return normalize_rows(spiral + jitter) @ turn
+
+
 def random_polytope(m: int, n: int, rng: np.random.Generator,
                     r_min: float = 0.4, r_max: float = 1.6,
                     min_exterior: float = 0.01) -> HyperbolicPolytope:
@@ -471,11 +490,14 @@ def random_polytope(m: int, n: int, rng: np.random.Generator,
     last condition keeps the sample away from bodies with nearly-flat
     vertices, whose curvature atoms carry almost no mass.
 
-    For m=1 and n >= 10 uniform directions rarely meet the separation rule.
-    After 2000 rejected draws the m=1 sampler falls back to jittered equal
-    spacing, with Klein radii tanh(r_i) that dip below a common level by at
-    most 0.3 (1 - cos(2 pi / n)), so most vertices clear the chord of their
-    neighbours.  Every draw the first rule accepts is unchanged.
+    For m=1 and n >= 10, and for m=2 and n >= 18, uniform draws rarely pass.
+    After 2000 rejected draws the sampler falls back to jittered near-uniform
+    directions (see ``_jittered_directions``), with Klein radii tanh(r_i)
+    that dip below a common level by at most 0.3 (1 - cos R).  R is the
+    angle from a vertex to its neighbours' chord or facet: the spacing
+    2 pi / n for m=1, and the circumradius sqrt(4 pi / n) / sqrt(3) of a
+    lattice triangle for m=2.  So most vertices clear their neighbours.
+    Every draw the first rule accepts is unchanged.
     """
     from .minkowski import random_unit_vectors
 
@@ -492,15 +514,14 @@ def random_polytope(m: int, n: int, rng: np.random.Generator,
         poly = _sampled_body(m, dirs, rng.uniform(r_min, r_max, size=n), min_exterior)
         if poly is not None:
             return poly
-    if m == 1:
-        dip = 0.3 * (1.0 - np.cos(2.0 * np.pi / n))
-        # the common level starts high enough that the dipped radii stay >= r_min
-        low = np.arctanh(min(np.tanh(r_min) / (1.0 - dip), np.tanh(r_max)))
-        for _ in range(2000):
-            theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.25, 0.25, size=n)) / n
-            dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-            klein = np.tanh(rng.uniform(low, r_max)) * (1.0 - dip * rng.uniform(size=n))
-            poly = _sampled_body(m, dirs, np.arctanh(klein), min_exterior)
-            if poly is not None:
-                return poly
+    reach = 2.0 * np.pi / n if m == 1 else np.sqrt(4.0 * np.pi / n) / np.sqrt(3.0)
+    dip = 0.3 * (1.0 - np.cos(reach))
+    # the common level starts high enough that the dipped radii stay >= r_min
+    low = np.arctanh(min(np.tanh(r_min) / (1.0 - dip), np.tanh(r_max)))
+    for _ in range(2000):
+        dirs = _jittered_directions(m, n, rng)
+        klein = np.tanh(rng.uniform(low, r_max)) * (1.0 - dip * rng.uniform(size=n))
+        poly = _sampled_body(m, dirs, np.arctanh(klein), min_exterior)
+        if poly is not None:
+            return poly
     raise RuntimeError("failed to sample a valid polytope; relax the parameters")

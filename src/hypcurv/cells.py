@@ -12,7 +12,9 @@ forward curvature map and the grid form of the dual problem
 m=1 cell integrals are computed per grid interval by Simpson's rule with
 exact splitting at the angles where the active branch changes, so they
 converge at fourth order in the grid spacing.  m=2 cell integrals bin grid
-nodes into cells; near-tied nodes share their weight (see SOFT_BAND).
+nodes into cells; a node whose best scores tie within ``tie_eps`` (the rule
+of ``bodies.t_map`` and ``ctransform.c_transform``) splits its weight
+equally between the tied cells.
 """
 
 from __future__ import annotations
@@ -31,15 +33,6 @@ DENSITY_MARGIN = 1e-6
 
 # Store the (nodes x supports) dot table only below this entry count.
 _STORE_LIMIT = 20_000_000
-
-# m=2 nodes whose score is within this relative band of the best share their
-# weight between the contenders, proportionally to the squared band excess.
-# Exact ties still split equally, but the softened hand-off makes cell
-# masses C^1 in the potentials: with hard assignment the dual gradient
-# jumps by a full node weight wherever a node changes cell; with a merely
-# continuous (linear) hand-off it still has kinks.  The induced bias is
-# O(band) relative, far below the m=2 agreement tolerances.
-SOFT_BAND = 1e-4
 
 
 class SupportKernel:
@@ -135,27 +128,14 @@ class SupportKernel:
         s = np.asarray(s, dtype=float)
         if self.m == 1:
             return self._sweep_m1(s, want_objective)
-        masses, objective, _ = self._sweep_m2(s, want_objective, False)
-        return masses, objective
+        return self._sweep_m2(s, want_objective)
 
     def solver_sweep(self, s: np.ndarray, want_objective: bool):
-        """One pass returning (masses, objective, mass response).
+        """``cell_sums`` plus a None slot; kept for tracers that wrap it by name."""
+        return (*self.cell_sums(s, want_objective), None)
 
-        The mass response is a diagonal estimate of d(cell mass)/d(psi): it
-        combines the hand-off stiffness of the m=2 soft band (mass crossing
-        near-tied nodes at rate ~1/SOFT_BAND) with the smooth response of the
-        integrand, |f'(phi)| = (m+1) f b^2/(1-b^2).  m=1 cells are smooth and
-        well-conditioned; no response is offered there (None).
-        """
-        s = np.asarray(s, dtype=float)
-        if self.m == 1:
-            masses, objective = self._sweep_m1(s, want_objective)
-            return masses, objective, None
-        return self._sweep_m2(s, want_objective, True)
-
-    def _sweep_m2(self, s, want_objective, want_response):
+    def _sweep_m2(self, s, want_objective):
         masses = np.zeros(self.n)
-        response = np.zeros(self.n) if want_response else None
         objective_terms = [] if want_objective else None
         w = self.grid.weights
         for lo, hi in self._chunks():
@@ -164,24 +144,16 @@ class SupportKernel:
             if best.min() <= 0.0:
                 bad = lo + int(np.argmin(best))
                 raise UncoveredDirectionError(self.grid.nodes[bad])
-            fvals = f_of_b(best, self.m)
-            contrib = w[lo:hi] * fvals
-            thr = best * (1.0 - SOFT_BAND)
-            excess = scores - thr[:, None]
-            np.maximum(excess, 0.0, out=excess)
-            np.square(excess, out=excess)
-            share = excess / excess.sum(axis=1)[:, None]
-            masses += share.T @ contrib
-            if want_response:
-                band = (share * (1.0 - share)).T @ (contrib * (3.0 / SOFT_BAND))
-                smooth = share.T @ (contrib * (self.m + 1) * best**2 / (1.0 - best**2))
-                response += band + smooth
+            contrib = w[lo:hi] * f_of_b(best, self.m)
+            row, col = np.nonzero(scores >= (best * (1.0 - self.tie_eps))[:, None])
+            share = contrib / np.bincount(row, minlength=hi - lo)
+            masses += np.bincount(col, weights=share[row], minlength=self.n)
             if want_objective:
                 objective_terms.append(w[lo:hi] * F_of_b(best, self.m))
         objective = None
         if want_objective:
             objective = math.fsum(np.concatenate(objective_terms))
-        return masses, objective, response
+        return masses, objective
 
     def _branch_values(self, theta, s):
         return s * np.cos(theta - self.sup_angles)

@@ -23,7 +23,7 @@ from .bodies import (
 )
 from .crofton import crofton_compare
 from .errors import HypcurvError, PreconditionError
-from .measures import EXHAUSTIVE_MAX_ATOMS, DiscreteMeasure, check_conditions
+from .measures import DiscreteMeasure, check_conditions
 from .quadrature import build_grid
 from .solver import SolverConfig, solve
 
@@ -59,8 +59,7 @@ def _grid_for(args, m: int):
 
 def _cmd_check(args) -> int:
     mu = hio.load_measure(args.measure)
-    mode = "exhaustive" if mu.size <= EXHAUSTIVE_MAX_ATOMS else "sampled"
-    report = check_conditions(mu, mode=mode, seed=args.seed)
+    report = check_conditions(mu)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.all_ok else EXIT_VALIDATION
 
@@ -110,7 +109,7 @@ def _maybe_graphics(args, poly, out: Path) -> None:
 
 
 def _solve_config(args) -> SolverConfig:
-    return SolverConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    return SolverConfig(tol=args.tol, max_iter=args.max_iter)
 
 
 def _report_dict(report) -> dict:
@@ -234,11 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, solveish=False, grid=True):
+    def common(p, solveish=False, grid=True, seed=False):
         if grid:
             p.add_argument("--grid-level", type=int, default=None,
                            help=f"quadrature refinement level (default {DEFAULT_GRID_LEVEL})")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--json-errors", action="store_true",
                        help="print machine-readable errors to stderr")
@@ -280,11 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("body2")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--h-cap", type=float, default=None)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=_cmd_crofton)
 
     p = sub.add_parser("demo", help="write the demo/acceptance fixture files")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=_cmd_demo)
 
     return parser

@@ -10,8 +10,10 @@ support points as the hull of (omega intersect support), and shrinking omega
 to that hull only enlarges the polar, so the minimum slack over subset hulls
 equals the true infimum.
 
-The exhaustive m=2 check (N <= EXHAUSTIVE_MAX_ATOMS) evaluates all 2^N - 1
-subsets as bit masks, 2^16 at a time.  Each ordered pair with
+Every check is exact.  m=1 enumerates the arcs between support points.  The
+m=2 check evaluates all 2^N - 1 subsets as bit masks, 2^16 at a time, and is
+refused above EXHAUSTIVE_MAX_ATOMS atoms; there a converged ``solver.solve``
+is the certificate of admissibility.  Each ordered pair with
 |p_i x p_j| >= 1e-8 gets c_ij = unit(p_i x p_j), d_ij = atan2(|p_i x p_j|,
 p_i.p_j) and the masks E_ij = {k : c_ij.p_k >= -1e-12}, L_ij = {k : c_ij.p_k
 >= -_CONTAIN_EPS} and Z_ij = {k not in {i, j} : |c_ij.p_k| <= 1e-8}.  (i, j) is
@@ -261,7 +263,6 @@ class ConditionReport:
     alexandrov_ok: bool
     alexandrov_slack: float
     worst_witness: tuple
-    exhaustive: bool
     subsets_evaluated: int          # subsets (m=2) or arcs (m=1) whose slack was computed
     wall_time: float
 
@@ -279,7 +280,6 @@ class ConditionReport:
             "alexandrov_ok": self.alexandrov_ok,
             "alexandrov_slack": self.alexandrov_slack,
             "worst_witness": list(self.worst_witness),
-            "exhaustive": self.exhaustive,
             "subsets_evaluated": self.subsets_evaluated,
             "wall_time": self.wall_time,
             "all_ok": self.all_ok,
@@ -317,17 +317,6 @@ def _subset_slack(mu: DiscreteMeasure, subset) -> float:
         return np.inf
     inside = np.all(mu.points @ gens.T <= _CONTAIN_EPS, axis=1)
     return (mu.total - mu.weights[inside].sum()) - hull.polar_area
-
-
-def _alexandrov_sampled(mu: DiscreteMeasure, subsets):
-    best = np.inf
-    witness: tuple = ()
-    for subset in subsets:
-        slack = _subset_slack(mu, subset)
-        if slack < best - 1e-15:
-            best = slack
-            witness = tuple(int(t) for t in subset)
-    return best, witness
 
 
 def _mask_tuple(mask: int) -> tuple:
@@ -381,21 +370,20 @@ def _alexandrov_exhaustive(mu: DiscreteMeasure):
     return best, min(witnesses, key=lambda t: (len(t), t))
 
 
-def check_conditions(mu: DiscreteMeasure, mode: str = "exhaustive",
-                     n_subsets: int = 4000, seed: int = 0) -> ConditionReport:
-    """Run the three admissibility tests on a discrete measure.
+def check_conditions(mu: DiscreteMeasure) -> ConditionReport:
+    """Run the three admissibility tests on a discrete measure, exactly.
 
-    ``mode`` is "exhaustive" (all support subsets, witness rule in the module
-    docstring; refused for N > ``EXHAUSTIVE_MAX_ATOMS``) or "sampled" (all
-    singletons, all complements of singletons, and ``n_subsets`` random
-    subsets).  m=1 always enumerates every arc with endpoints at support
-    points, which is exact, so its report is marked exhaustive regardless of
-    mode.
+    m=1 enumerates every arc with endpoints at support points.  m=2
+    enumerates every support subset (witness rule in the module docstring)
+    and raises ValueError for N > ``EXHAUSTIVE_MAX_ATOMS``; there a converged
+    ``solver.solve`` certifies the measure instead.
     """
     start = time.perf_counter()
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
     validate_dimension(mu.m)
+    if mu.m == 2 and mu.size > EXHAUSTIVE_MAX_ATOMS:
+        raise ValueError(f"the exact m=2 check enumerates all 2^N - 1 subsets and is "
+                         f"refused for N = {mu.size} > EXHAUSTIVE_MAX_ATOMS = "
+                         f"{EXHAUSTIVE_MAX_ATOMS}")
     sphere = sphere_measure(mu.m)
     eps = COND_EPS_FACTOR * sphere
 
@@ -405,28 +393,11 @@ def check_conditions(mu: DiscreteMeasure, mode: str = "exhaustive",
     vmax = float(mu.weights[vmax_idx])
     vertex_ok = (0.5 * sphere - vmax) > eps
 
-    n = mu.size
-    exhaustive = mu.m == 1 or mode == "exhaustive"
     if mu.m == 1:
         slack, witness, evaluated = _alexandrov_m1(mu)
-    elif exhaustive:
-        if n > EXHAUSTIVE_MAX_ATOMS:
-            raise ValueError(
-                f"exhaustive subset enumeration refused for N > {EXHAUSTIVE_MAX_ATOMS}; "
-                "use mode='sampled'"
-            )
-        slack, witness = _alexandrov_exhaustive(mu)
-        evaluated = (1 << n) - 1
     else:
-        rng = np.random.default_rng(seed)
-        chosen = {(i,) for i in range(n)}
-        chosen |= {tuple(j for j in range(n) if j != i) for i in range(n)}
-        for _ in range(n_subsets):
-            mask = rng.random(n) < rng.uniform(0.15, 0.85)
-            if mask.any():
-                chosen.add(tuple(int(i) for i in np.nonzero(mask)[0]))
-        slack, witness = _alexandrov_sampled(mu, sorted(chosen))
-        evaluated = len(chosen)
+        slack, witness = _alexandrov_exhaustive(mu)
+        evaluated = (1 << mu.size) - 1
     alexandrov_ok = bool(slack > eps)
 
     return ConditionReport(
@@ -438,7 +409,6 @@ def check_conditions(mu: DiscreteMeasure, mode: str = "exhaustive",
         alexandrov_ok=alexandrov_ok,
         alexandrov_slack=float(slack),
         worst_witness=witness,
-        exhaustive=exhaustive,
         subsets_evaluated=evaluated,
         wall_time=time.perf_counter() - start,
     )

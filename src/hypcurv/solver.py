@@ -51,11 +51,10 @@ MIN_DAMPING = 1e-10
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule of the Newton solve; ``seed`` drives the sampled check."""
+    """Stopping rule of the Newton solve."""
 
     tol: float = 1e-12          # converged when max|alpha - a| <= tol * mu.total
     max_iter: int = 50          # Newton steps
-    seed: int = 0
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -74,6 +73,8 @@ class SolveReport:
     body).  ``residual_history`` holds the sup residual max|alpha - a| at
     the start and after each step, so it has ``iterations + 1`` entries and
     falls strictly; it is empty when the start is invalid.
+    ``condition_report`` is None for m=2 above EXHAUSTIVE_MAX_ATOMS atoms,
+    where no exact check runs and a converged solve certifies the measure.
     """
 
     psi: PotentialVector
@@ -140,6 +141,8 @@ def _ball_heuristic_psi(mu: DiscreteMeasure) -> float:
 
 def _angles(mu: DiscreteMeasure, psi: np.ndarray):
     """The body with potentials psi and its exterior angles; raises if it is invalid."""
+    if not psi.max() < 0.0:  # a Jacobian bump can cross psi = 0 next to the floor
+        raise ValueError("potentials must be negative")
     body = from_vertices(mu.m, mu.points, np.arctanh(np.exp(psi)))
     return body, curvature_measure_angles(body).weights
 
@@ -220,8 +223,12 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
           force: bool = False) -> SolveReport:
     """Reconstruct the convex body whose curvature measure is mu.
 
-    Checks the admissibility conditions first (hard precondition unless
-    ``force`` is set), then runs damped Newton from the ball heuristic.  The
+    Checks the admissibility conditions first where the check is exact (m=1,
+    or N <= EXHAUSTIVE_MAX_ATOMS), as a hard precondition unless ``force`` is
+    set, then runs damped Newton from the ball heuristic.  Above the limit a
+    converged solve certifies mu (the paper's necessity direction: every
+    body's curvature measure is admissible); a failed one gives its
+    ``stop_reason``.  The
     returned report carries the potential, the residual history, the
     relative per-atom residuals and, when the potential describes a valid
     body, that body.  With ``force`` it never raises: an invalid start gives
@@ -229,9 +236,8 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
     """
     cfg = config or SolverConfig()
     start = time.perf_counter()
-    mode = "exhaustive" if (mu.m == 1 or mu.size <= EXHAUSTIVE_MAX_ATOMS) else "sampled"
-    cond = check_conditions(mu, mode=mode, seed=cfg.seed)
-    if not cond.all_ok and not force:
+    cond = check_conditions(mu) if mu.m == 1 or mu.size <= EXHAUSTIVE_MAX_ATOMS else None
+    if cond is not None and not cond.all_ok and not force:
         raise PreconditionError(cond)
 
     psi0 = np.full(mu.size, _ball_heuristic_psi(mu))

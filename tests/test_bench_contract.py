@@ -1,0 +1,29 @@
+"""The benchmark still runs against the package.
+
+``bench/run.py`` reads ``ctransform._kernel_cache``, and its traced mode wraps
+``ctransform.kernel_for``, the ``SupportKernel`` methods and other entry points
+by name and reads fields of ``SolveReport``.  A rename or deletion under
+``src/`` breaks it without any other test noticing, so one short round of the
+cheapest workload runs here, plain and traced.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_roundtrip_m1_runs_and_checks_out(trace):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "roundtrip_m1",
+         "--seconds", "0", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

@@ -35,6 +35,19 @@ class TestConstruction:
                 assert 0.4 <= poly.radii.min() and poly.radii.max() <= 1.6
                 assert curvature_measure_angles(poly).weights.min() >= 0.01
 
+    def test_random_polyhedron_many_vertices(self):
+        # from about 18 vertices on uniform draws rarely pass, so most of
+        # these come from the jittered Fibonacci-spiral fallback
+        for n in range(12, 33):
+            for seed in range(5):
+                poly = random_polytope(2, n, np.random.default_rng(seed))
+                assert poly.n_vertices == n
+                assert 0.4 <= poly.radii.min() and poly.radii.max() <= 1.6
+                assert curvature_measure_angles(poly).weights.min() >= 0.01
+                chord = poly.directions @ poly.directions.T
+                np.fill_diagonal(chord, -1.0)
+                assert chord.max() <= np.cos(0.5 / np.sqrt(n))
+
     def test_square_symmetric_facets(self, square):
         assert square.n_vertices == 4
         assert len(square.facet_supports) == 4
@@ -148,6 +161,15 @@ class TestCurvatureMeasures:
         a = curvature_measure_integral(octahedron, grid_m2).weights
         b = curvature_measure_angles(octahedron, ).weights
         assert np.abs(a - b).max() < 2e-2 * b.max()
+
+    def test_grid_route_keeps_icosahedral_symmetry(self, grid_m2):
+        # grid nodes tied between cells split their weight equally; handing
+        # each tie to the lowest index spreads these classes by 1e-3 and more
+        body = hc.icosphere_body(1, 1.0)
+        weights = curvature_measure_integral(body, grid_m2).weights
+        icosahedral, others = weights[:12], weights[12:]  # valence 5 and 6
+        assert np.ptp(icosahedral) <= 1e-12
+        assert np.ptp(others) <= 1e-12
 
     def test_euclidean_limit_square(self):
         tiny = regular_polygon(4, 1e-4)

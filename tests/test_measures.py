@@ -213,19 +213,33 @@ class TestConditions:
         pts = hc.minkowski.random_unit_vectors(2, 21, rng)
         mu = DiscreteMeasure(2, pts, np.ones(21))
         with pytest.raises(ValueError):
-            check_conditions(mu, mode="exhaustive")
-        check_conditions(mu, mode="sampled", n_subsets=50, seed=0)
+            check_conditions(mu)
+
+    def test_refusal_names_the_limit(self):
+        body = hc.random_polytope(2, 21, np.random.default_rng(21))
+        with pytest.raises(ValueError, match="EXHAUSTIVE_MAX_ATOMS"):
+            check_conditions(hc.curvature_measure_angles(body))
+
+    def test_one_and_two_atoms_m2(self):
+        # a point's polar is a hemisphere; two orthogonal points' is a lune
+        one = check_conditions(DiscreteMeasure(2, np.array([[0.0, 0.0, 1.0]]), [13.0]))
+        assert one.subsets_evaluated == 1 and one.worst_witness == (0,)
+        assert one.total_mass_ok and not one.vertex_ok and not one.alexandrov_ok
+        assert one.alexandrov_slack == pytest.approx(-2.0 * np.pi, abs=1e-12)
+        two = check_conditions(DiscreteMeasure(2, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+                                               [6.0, 6.0]))
+        assert two.subsets_evaluated == 3 and two.worst_witness == (0, 1)
+        assert not two.total_mass_ok and two.vertex_ok and not two.alexandrov_ok
+        assert two.alexandrov_slack == pytest.approx(-np.pi, abs=1e-12)
 
     def test_report_counts_subsets_and_time(self, octahedron):
         mu = hc.curvature_measure_angles(octahedron)
         full = check_conditions(mu)
         assert full.subsets_evaluated == 2 ** 6 - 1
-        samp = check_conditions(mu, mode="sampled", n_subsets=5, seed=0)
-        assert 12 <= samp.subsets_evaluated <= 12 + 5
         # m=1: every arc shorter than a half turn between two support points
         arcs = check_conditions(measure_m1([0.0, 2.0, 4.0], [2.5, 2.5, 2.5]))
         assert arcs.subsets_evaluated == 3 + 3
-        for rep in (full, samp, arcs):
+        for rep in (full, arcs):
             assert 0.0 < rep.wall_time < 60.0
             d = rep.to_dict()
             assert d["subsets_evaluated"] == rep.subsets_evaluated
@@ -239,13 +253,6 @@ class TestConditions:
             assert rep.all_ok and rep.alexandrov_slack > 0
         rep = check_conditions(hc.curvature_measure_angles(octahedron))
         assert rep.all_ok
-
-    def test_m2_octahedron_sampled_matches_exhaustive(self, octahedron):
-        mu = hc.curvature_measure_angles(octahedron)
-        full = check_conditions(mu, mode="exhaustive")
-        samp = check_conditions(mu, mode="sampled", n_subsets=300, seed=1)
-        assert full.exhaustive and not samp.exhaustive
-        assert samp.alexandrov_slack >= full.alexandrov_slack - 1e-12
 
 
 def brute_force_arc_slack(mu, n_grid=1000):
@@ -327,7 +334,7 @@ def test_exhaustive_matches_per_subset_oracle(name, mu):
     rep = check_conditions(mu)
     slacks = oracle_slacks(mu)
     best = min(slacks.values())
-    assert rep.exhaustive and rep.subsets_evaluated == 2 ** mu.size - 1
+    assert rep.subsets_evaluated == 2 ** mu.size - 1
     assert rep.alexandrov_slack == pytest.approx(best, abs=1e-12)
     assert slacks[rep.worst_witness] == pytest.approx(best, abs=1e-12)
     if "violator" in name:
@@ -336,14 +343,12 @@ def test_exhaustive_matches_per_subset_oracle(name, mu):
         assert not broken[name.split()[0]]
 
 
-def test_exhaustive_sixteen_atoms_bounds_sampled():
+def test_exhaustive_sixteen_atoms():
     rng = np.random.default_rng(9)
     mu = DiscreteMeasure(2, hc.minkowski.random_unit_vectors(2, 16, rng),
                          rng.uniform(0.5, 2.0, size=16))
     full = check_conditions(mu)
-    samp = check_conditions(mu, mode="sampled", n_subsets=500, seed=0)
     assert full.subsets_evaluated == 2 ** 16 - 1
-    assert samp.alexandrov_slack >= full.alexandrov_slack - 1e-12
 
 
 turns = st.floats(0.0, 2.0 * np.pi, allow_subnormal=False)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hypcurv as hc
-from hypcurv.measures import DiscreteMeasure
+from hypcurv.measures import EXHAUSTIVE_MAX_ATOMS, DiscreteMeasure
 from hypcurv.solver import (
     FD_STEP,
     SolverConfig,
@@ -181,11 +181,35 @@ def test_report_carries_diagnostics(square_mu):
     assert rep.wall_time > 0
 
 
+def test_large_m2_solve_certifies_without_check():
+    # above EXHAUSTIVE_MAX_ATOMS no exact check runs; convergence is the certificate
+    body = hc.random_polytope(2, 22, np.random.default_rng(22))
+    mu = hc.curvature_measure_angles(body)
+    assert mu.size > EXHAUSTIVE_MAX_ATOMS
+    rep = solve(mu)
+    assert rep.converged and rep.condition_report is None
+    assert np.array_equal(rep.body.directions, body.directions)
+    assert np.abs(rep.body.radii - body.radii).max() <= 1e-10 * body.radii.min()
+
+
+def test_large_m2_violators_fail_with_a_stop_reason():
+    body = hc.random_polytope(2, 21, np.random.default_rng(21))
+    mu = hc.curvature_measure_angles(body)
+    light = DiscreteMeasure(2, mu.points, mu.weights * (0.9 * 4.0 * np.pi / mu.total))
+    heavy = mu.weights.copy()
+    heavy[0] = 2.0 * np.pi + 0.1
+    for bad, reason in ((light, "damping"),
+                        (DiscreteMeasure(2, mu.points, heavy), "geometry")):
+        rep = solve(bad)
+        assert not rep.converged and rep.stop_reason == reason
+        assert rep.condition_report is None
+
+
 def test_solver_config_validation():
     for bad in ({"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}, {"max_iter": 0}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
-    assert SolverConfig() == SolverConfig(tol=1e-12, max_iter=50, seed=0)
+    assert SolverConfig() == SolverConfig(tol=1e-12, max_iter=50)
 
 
 def test_m2_round_trip_octahedron(octahedron, grid_m2):
