@@ -34,7 +34,6 @@ from .ctransform import (
 from .densities import F_phi, G_psi, f_phi, g_psi
 from .errors import (
     DegenerateHullError,
-    DegenerateVertexError,
     HypcurvError,
     IntegrationError,
     NonExtremeVertexError,

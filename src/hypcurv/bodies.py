@@ -3,9 +3,9 @@
 A polytope is given by vertex directions xi_i on S^m and hyperbolic radii
 r_i > 0; its vertices are the points cosh(r_i) o + sinh(r_i) xi_i.  The Klein
 model turns the body into the Euclidean convex hull of the points
-tanh(r_i) xi_i inside the open unit ball, which is how the facet structure is
-computed.  All metric quantities (support and radial functions, angles,
-areas) are evaluated in Minkowski coordinates.
+tanh(r_i) xi_i inside the open unit ball.  One qhull call on these points and
+the basepoint gives the facet structure for both m: the counterclockwise
+vertex order for m=1 and the triangles for m=2.
 
 The Gauss curvature measure of a polytope is a sum of point masses at the
 vertex directions.  Two independent routes compute it:
@@ -14,7 +14,8 @@ vertex directions.  Two independent routes compute it:
   cosh^{m+1}(h) over the vertex cells of a quadrature grid and divides by
   cosh(r_i);
 * ``curvature_measure_angles`` computes the exterior (solid) angle at every
-  vertex from local Minkowski frames.
+  vertex as m pi minus the sum of its corner angles, all corners at once from
+  the directions and radii (``_corner_angles``).
 
 Their agreement is one of the package's main self-checks.
 """
@@ -26,14 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import pdist
 
 from .cells import SupportKernel
-from .errors import (
-    DegenerateHullError,
-    DegenerateVertexError,
-    NonExtremeVertexError,
-    OriginNotInteriorError,
-)
+from .errors import DegenerateHullError, NonExtremeVertexError, OriginNotInteriorError
 from .minkowski import (
     TIE_EPS,
     basepoint,
@@ -41,16 +38,14 @@ from .minkowski import (
     hyperbolic_point,
     lorentz_dot,
     normalize_rows,
+    random_unit_vectors,
     unit_rows,
     validate_dimension,
 )
-from .quadrature import QuadratureGrid, spherical_triangle_areas
+from .quadrature import QuadratureGrid, build_grid
 
 # Strict interiority threshold for the basepoint, in Klein support distance.
 MIN_SUPPORT = 1e-6
-
-# Relative slack below which a vertex counts as lying on the hull of the rest.
-_EXTREME_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,11 +60,13 @@ class HyperbolicPolytope:
     facet_supports: np.ndarray      # (F,) Klein support distances in (0, 1)
     facet_vertices: tuple           # tuple of vertex-index tuples per facet
     order: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    # ``order`` is the counterclockwise vertex ordering for m=1.
+    simplices: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=int))
+    # ``order`` is the counterclockwise vertex ordering for m=1; ``simplices``
+    # are the Klein hull's triangles for m=2.  Each is empty in the other case.
 
     def __post_init__(self):
         for name in ("directions", "radii", "klein_vertices",
-                     "facet_normals", "facet_supports", "order"):
+                     "facet_normals", "facet_supports", "order", "simplices"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -81,116 +78,23 @@ class HyperbolicPolytope:
         return hyperbolic_point(self.directions, self.radii)
 
 
-def _order_ccw(angles: np.ndarray) -> np.ndarray:
-    return np.argsort(angles, kind="stable")
-
-
-def _from_vertices_m1(directions, radii):
-    n = directions.shape[0]
-    klein = np.tanh(radii)[:, None] * directions
-    angles = np.arctan2(directions[:, 1], directions[:, 0]) % (2.0 * np.pi)
-    order = _order_ccw(angles)
-
-    # star-extremeness: vertex i must lie outside the hull of {o} and the
-    # other Klein points, i.e. beyond the chord joining its angular neighbors
-    rho = np.tanh(radii)
-    for pos, i in enumerate(order):
-        j = order[(pos - 1) % n]
-        k = order[(pos + 1) % n]
-        gap = (angles[k] - angles[j]) % (2.0 * np.pi)
-        if gap >= np.pi:
-            continue  # chord cannot cover direction i
-        vj, vk = klein[j], klein[k]
-        edge = vk - vj
-        normal = np.array([edge[1], -edge[0]])
-        nn = np.linalg.norm(normal)
-        if nn < 1e-30:
-            raise NonExtremeVertexError(int(i), f"vertex {i} duplicates a neighbor")
-        normal /= nn
-        h = normal @ vj
-        if h < 0:
-            normal, h = -normal, -h
-        if normal @ directions[i] <= 0:
-            continue
-        rho_chord = h / (normal @ directions[i])
-        if rho[i] <= rho_chord * (1.0 + _EXTREME_EPS):
-            raise NonExtremeVertexError(int(i))
-
-    gaps = (angles[np.roll(order, -1)] - angles[order]) % (2.0 * np.pi)
-    if gaps.max() >= np.pi:
-        raise OriginNotInteriorError(
-            "all vertex directions lie in a closed half-plane"
-        )
-
-    normals = np.empty((n, 2))
-    supports = np.empty(n)
-    facets = []
-    for pos in range(n):
-        i, k = order[pos], order[(pos + 1) % n]
-        edge = klein[k] - klein[i]
-        nvec = np.array([edge[1], -edge[0]])
-        nvec /= np.linalg.norm(nvec)
-        h = nvec @ klein[i]
-        if h < 0:
-            nvec, h = -nvec, -h
-        normals[pos] = nvec
-        supports[pos] = h
-        facets.append((int(i), int(k)))
-    if supports.min() < MIN_SUPPORT:
-        raise OriginNotInteriorError(
-            f"facet support {supports.min():.3e} below {MIN_SUPPORT:.0e}"
-        )
-    # consistency: consecutive triples must make strictly left turns
-    for pos in range(n):
-        a, b, c = klein[order[pos]], klein[order[(pos + 1) % n]], klein[order[(pos + 2) % n]]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if cross <= 0:
-            raise NonExtremeVertexError(int(order[(pos + 1) % n]))
-    return klein, normals, supports, tuple(facets), order
-
-
 def _merged_facets(hull: ConvexHull) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Group qhull's simplicial facets into geometric facets by their plane."""
-    eq = hull.equations
+    """Group qhull's simplicial facets into geometric facets by their plane.
+
+    Planes whose equations agree on a 1e-9 lattice form one facet; its normal
+    and support come from its first simplex, and its vertices are the sorted
+    union of its simplices' vertices.
+    """
+    eq, simplices = hull.equations, hull.simplices
     keys = np.round(eq / 1e-9).astype(np.int64)
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
-    groups = {}
-    for simplex_idx, gid in enumerate(inverse):
-        groups.setdefault(gid, []).append(simplex_idx)
-    normals, supports, members = [], [], []
-    for gid, simplex_ids in sorted(groups.items()):
-        rows = eq[simplex_ids]
-        nvec = normalize_rows(rows[:, :3].mean(axis=0)[None, :])[0]
-        verts = sorted({int(v) for s in simplex_ids for v in hull.simplices[s]})
-        support = float(np.mean([nvec @ hull.points[v] for v in verts]))
-        normals.append(nvec)
-        supports.append(support)
-        members.append(tuple(verts))
-    return np.array(normals), np.array(supports), tuple(members)
-
-
-def _from_vertices_m2(directions, radii):
-    klein = np.tanh(radii)[:, None] * directions
-    n = klein.shape[0]
-    try:
-        star = ConvexHull(np.vstack([klein, np.zeros(3)]), qhull_options="Qc")
-    except QhullError as exc:
-        raise DegenerateHullError(f"vertex set is degenerate: {exc}") from exc
-    star_vertices = set(int(v) for v in star.vertices)
-    missing = sorted(set(range(n)) - star_vertices)
-    coplanar = sorted(int(c[0]) for c in star.coplanar if c[0] < n)
-    if missing or coplanar:
-        raise NonExtremeVertexError(min(missing + coplanar))
-    if n in star_vertices or any(int(c[0]) == n for c in star.coplanar):
-        raise OriginNotInteriorError("basepoint is not interior to the Klein hull")
-
-    hull = ConvexHull(klein, qhull_options="Qc")
-    normals, supports, members = _merged_facets(hull)
-    if supports.min() < MIN_SUPPORT:
-        raise OriginNotInteriorError(
-            f"facet support {supports.min():.3e} below {MIN_SUPPORT:.0e}"
-        )
-    return klein, normals, supports, members, np.zeros(0, dtype=int)
+    _, first, plane = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # one code per (facet, vertex) pair, sorted by facet and then vertex
+    size = len(hull.points)
+    facet, vertex = np.divmod(np.unique(plane.reshape(-1, 1) * size + simplices), size)
+    bounds = [0, *(np.flatnonzero(np.diff(facet)) + 1).tolist(), len(facet)]
+    vertex = vertex.tolist()
+    members = tuple(tuple(vertex[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return eq[first, :-1], -eq[first, -1], members
 
 
 def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> HyperbolicPolytope:
@@ -222,15 +126,33 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
         raise ValueError("radii too large to represent in the Klein ball")
     directions = unit_rows(directions, 1e-8, "directions must be unit vectors")
 
-    from scipy.spatial.distance import pdist
-
     if pdist(directions).min() <= 1e-9:
         raise ValueError("vertex directions must be pairwise distinct")
 
-    if m == 1:
-        klein, normals, supports, facets, order = _from_vertices_m1(directions, radii)
-    else:
-        klein, normals, supports, facets, order = _from_vertices_m2(directions, radii)
+    n = directions.shape[0]
+    klein = np.tanh(radii)[:, None] * directions
+    # the basepoint joins the hull so that a basepoint on or outside the
+    # body's hull shows up as a vertex or coplanar point of this one
+    try:
+        hull = ConvexHull(np.vstack([klein, np.zeros(m + 1)]), qhull_options="Qc")
+    except QhullError as exc:
+        raise DegenerateHullError(f"vertex set is degenerate: {exc}") from exc
+    extreme = np.zeros(n + 1, dtype=bool)
+    extreme[hull.vertices] = True
+    if not extreme[:n].all():
+        raise NonExtremeVertexError(int(np.argmin(extreme[:n])))
+    if extreme[n] or n in hull.coplanar[:, 0]:
+        raise OriginNotInteriorError(
+            "basepoint is not interior to the Klein hull: the vertex directions "
+            f"lie in a closed {('half-plane', 'half-space')[m - 1]}"
+        )
+    normals, supports, facets = _merged_facets(hull)
+    if supports.min() < MIN_SUPPORT:
+        raise OriginNotInteriorError(
+            f"facet support {supports.min():.3e} below {MIN_SUPPORT:.0e}"
+        )
+    # qhull lists the vertices of a 2-d hull counterclockwise
+    layout = {"order": hull.vertices} if m == 1 else {"simplices": hull.simplices}
     return HyperbolicPolytope(
         m=m,
         directions=directions,
@@ -239,7 +161,7 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
         facet_normals=normals,
         facet_supports=supports,
         facet_vertices=facets,
-        order=order,
+        **layout,
     )
 
 
@@ -299,130 +221,86 @@ def polar_boundary_area(poly: HyperbolicPolytope, grid: QuadratureGrid) -> float
     return math.fsum(measure.weights)
 
 
-def _tangent_toward(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unit tangent at x of the hyperbolic geodesic from x to y."""
-    c = lorentz_dot(x, y)
-    u = y + c * x
-    return u / np.sqrt(max(c * c - 1.0, 1e-300))
+def _corner_angles(dirs: np.ndarray, radii: np.ndarray, i, j, k) -> np.ndarray:
+    """Angle at vertex i between its hull edges to vertices j and k.
 
+    ``dirs`` holds the directions as (3, N) columns.  Seen from vertex i, the
+    edge to j leaves at the angle B_ij from the geodesic back to o, with
+    cot B_ij = (sinh r_i coth r_j - cosh r_i cos theta_ij) / sin theta_ij.
+    The numerator is evaluated as sinh(r_i - r_j) / sinh r_j + cosh r_i
+    |xi_i - xi_j|^2 / 2, so close vertices lose no digits to cancellation.
+    The edges to j and k are turned about that geodesic by the spherical
+    angle phi at xi_i between xi_j and xi_k.  The spherical law of cosines
+    in half-angle form gives the corner c from both sides, so it keeps its
+    digits near 0 and near pi:
 
-def _interior_angle(x, a, b) -> float:
-    ua = _tangent_toward(x, a)
-    ub = _tangent_toward(x, b)
-    return float(np.arccos(np.clip(lorentz_dot(ua, ub), -1.0, 1.0)))
-
-
-def _exterior_angles_m1(poly: HyperbolicPolytope) -> np.ndarray:
-    pts = poly.vertex_points()
-    order = poly.order
-    n = len(order)
-    alpha = np.empty(poly.n_vertices)
-    for pos in range(n):
-        i = order[pos]
-        prev_pt = pts[order[(pos - 1) % n]]
-        next_pt = pts[order[(pos + 1) % n]]
-        alpha[i] = np.pi - _interior_angle(pts[i], prev_pt, next_pt)
-    return alpha
-
-
-def _exterior_angles_m2(poly: HyperbolicPolytope) -> np.ndarray:
-    h_facets = np.arctanh(poly.facet_supports)
-    # de Sitter unit normal of facet k: sinh(h_k) o + cosh(h_k) eta_k
-    zeta = np.zeros((len(h_facets), 4))
-    zeta[:, 0] = np.sinh(h_facets)
-    zeta[:, 1:] = np.cosh(h_facets)[:, None] * poly.facet_normals
-
-    incident: list[list[int]] = [[] for _ in range(poly.n_vertices)]
-    for k, verts in enumerate(poly.facet_vertices):
-        for v in verts:
-            incident[v].append(k)
-
-    alpha = np.empty(poly.n_vertices)
-    for i in range(poly.n_vertices):
-        rows = np.asarray(incident[i], dtype=int)
-        if len(rows) < 3:
-            raise DegenerateVertexError(f"vertex {i} has {len(rows)} incident facets")
-        xi, r = poly.directions[i], poly.radii[i]
-        # orthonormal frame of the tangent sphere at the vertex
-        radial = np.concatenate([[np.sinh(r)], np.cosh(r) * xi])
-        seed = np.eye(3)[np.argmin(np.abs(xi))]
-        e1 = seed - (seed @ xi) * xi
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(xi, e1)
-        frame = np.vstack([radial, np.concatenate([[0.0], e1]), np.concatenate([[0.0], e2])])
-        sign = np.array([-1.0, 1.0, 1.0, 1.0])
-        coords = (zeta[rows] * sign) @ frame.T  # Lorentz dots against the frame
-        # cyclic order around a direction interior to the normal cone (its
-        # mean); the radial direction can lie outside a thin cone and would
-        # scramble the traversal
-        axis = coords.mean(axis=0)
-        axis /= np.linalg.norm(axis)
-        a_seed = np.eye(3)[np.argmin(np.abs(axis))]
-        t1 = a_seed - (a_seed @ axis) * axis
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(axis, t1)
-        angles = np.arctan2(coords @ t2, coords @ t1)
-        coords = coords[np.argsort(angles)]
-        # merge duplicated normals (triangulated facets of one plane)
-        keep = [0]
-        for k in range(1, len(coords)):
-            if np.linalg.norm(coords[k] - coords[keep[-1]]) > 1e-9:
-                keep.append(k)
-        if np.linalg.norm(coords[keep[-1]] - coords[keep[0]]) <= 1e-9 and len(keep) > 1:
-            keep.pop()
-        coords = coords[keep]
-        if len(coords) < 3:
-            raise DegenerateVertexError(f"vertex {i} normal cone is degenerate")
-        alpha[i] = spherical_polygon_area(coords)
-    return alpha
-
-
-def spherical_polygon_area(vertices: np.ndarray) -> float:
-    """Angle-excess area of a convex spherical polygon given ordered corners."""
-    n = len(vertices)
-    total = 0.0
-    for k in range(n):
-        p = vertices[k]
-        a = vertices[(k - 1) % n]
-        b = vertices[(k + 1) % n]
-        ta = a - (a @ p) * p
-        tb = b - (b @ p) * p
-        ta /= np.linalg.norm(ta)
-        tb /= np.linalg.norm(tb)
-        total += np.arccos(np.clip(ta @ tb, -1.0, 1.0))
-    return float(total - (n - 2) * np.pi)
+        sin^2(c/2) = sin^2((B_ij - B_ik)/2) + sin B_ij sin B_ik sin^2(phi/2)
+        cos^2(c/2) = cos^2((B_ij + B_ik)/2) + sin B_ij sin B_ik cos^2(phi/2)
+    """
+    ends = np.stack([j, k])
+    x, y = dirs[:, i][:, None], dirs[:, ends]             # (3, 1, K), (3, 2, K)
+    normals = x[[1, 2, 0]] * y[[2, 0, 1]] - x[[2, 0, 1]] * y[[1, 2, 0]]   # x cross y
+    gap = x - y
+    r_i, r_ends = radii[i], radii[ends]
+    fan = np.arctan2(np.sqrt((normals * normals).sum(axis=0)),
+                     np.sinh(r_i - r_ends) / np.sinh(r_ends)
+                     + 0.5 * np.cosh(r_i) * (gap * gap).sum(axis=0))
+    # (xi_i cross xi_j) cross (xi_i cross xi_k) = det(xi_i, xi_j, xi_k) xi_i
+    turn = np.arctan2(np.abs((normals[:, 0] * y[:, 1]).sum(axis=0)),
+                      (normals[:, 0] * normals[:, 1]).sum(axis=0))
+    both = np.sin(fan[0]) * np.sin(fan[1])
+    half_sin = np.sin(0.5 * (fan[0] - fan[1])) ** 2 + both * np.sin(0.5 * turn) ** 2
+    half_cos = np.cos(0.5 * (fan[0] + fan[1])) ** 2 + both * np.cos(0.5 * turn) ** 2
+    return 2.0 * np.arctan2(np.sqrt(half_sin), np.sqrt(half_cos))
 
 
 def curvature_measure_angles(poly: HyperbolicPolytope):
-    """Curvature weights as exterior (solid) angles at the vertices."""
+    """Curvature weights as exterior (solid) angles at the vertices.
+
+    alpha_i is m pi minus the sum of the corner angles at vertex i.  An m=1
+    vertex has one corner, between its two neighbours; for m=2 the corners
+    of the hull triangles at vertex i add up to the angles of its faces.
+    """
     from .measures import DiscreteMeasure
 
     if poly.m == 1:
-        alpha = _exterior_angles_m1(poly)
+        i = poly.order
+        j, k = np.roll(i, 1), np.roll(i, -1)
     else:
-        alpha = _exterior_angles_m2(poly)
+        i, j, k = (np.roll(poly.simplices, -s, axis=1).ravel() for s in range(3))
+    # m=1 directions lie in the plane z = 0, where every turn is pi
+    dirs = np.zeros((3, poly.n_vertices))
+    dirs[:poly.m + 1] = poly.directions.T
+    corners = _corner_angles(dirs, poly.radii, i, j, k)
+    alpha = poly.m * np.pi - np.bincount(i, corners, minlength=poly.n_vertices)
     return DiscreteMeasure(poly.m, poly.directions, alpha)
 
 
 # -- area, isometries, generators ------------------------------------------
 
 
+def _angles_at(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angles at the points x between the geodesics to a and to b (rows of
+    Minkowski points), from the unit tangents (y + <x, y> x) / sqrt(<x, y>^2 - 1)."""
+    def tangent(y):
+        c = lorentz_dot(x, y)[:, None]
+        return (y + c * x) / np.sqrt(np.maximum(c * c - 1.0, 1e-300))
+
+    return np.arccos(np.clip(lorentz_dot(tangent(a), tangent(b)), -1.0, 1.0))
+
+
 def polygon_area_m1(poly: HyperbolicPolytope) -> float:
-    """Hyperbolic area of an m=1 polytope by fan triangulation from o."""
+    """Hyperbolic area of an m=1 polytope by fan triangulation from o.
+
+    A fan triangle's area is pi minus its angles, which are taken between
+    Minkowski tangents here, independently of ``curvature_measure_angles``.
+    """
     if poly.m != 1:
         raise ValueError("polygon_area_m1 requires m = 1")
-    o = basepoint(1)
-    pts = poly.vertex_points()
-    order = poly.order
-    total = 0.0
-    for pos in range(len(order)):
-        a = pts[order[pos]]
-        b = pts[order[(pos + 1) % len(order)]]
-        ang_o = _interior_angle(o, a, b)
-        ang_a = _interior_angle(a, o, b)
-        ang_b = _interior_angle(b, o, a)
-        total += np.pi - (ang_o + ang_a + ang_b)
-    return total
+    a = poly.vertex_points()[poly.order]
+    b = np.roll(a, -1, axis=0)
+    o = np.broadcast_to(basepoint(1), a.shape)
+    return float(np.sum(np.pi - _angles_at(o, a, b) - _angles_at(a, o, b) - _angles_at(b, o, a)))
 
 
 def apply_isometry(poly: HyperbolicPolytope, direction: np.ndarray, length: float) -> HyperbolicPolytope:
@@ -443,8 +321,6 @@ def regular_polygon(n: int, radius: float) -> HyperbolicPolytope:
 
 def icosphere_body(level: int, radius: float) -> HyperbolicPolytope:
     """m=2 polytope with vertices on an icosphere at a common radius."""
-    from .quadrature import build_grid
-
     grid = build_grid(2, level)
     return from_vertices(2, grid.nodes.copy(), np.full(grid.size, float(radius)))
 
@@ -464,8 +340,6 @@ def _jittered_directions(m: int, n: int, rng: np.random.Generator) -> np.ndarray
     """n separated directions: equal spacing on S^1, each moved by at most a
     quarter step; on S^2 a Fibonacci spiral with each point moved by at most
     0.15 sqrt(4 pi / n) per coordinate, then turned by a random orthogonal map."""
-    from .minkowski import normalize_rows
-
     if m == 1:
         theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.25, 0.25, size=n)) / n
         return np.column_stack([np.cos(theta), np.sin(theta)])
@@ -499,8 +373,6 @@ def random_polytope(m: int, n: int, rng: np.random.Generator,
     lattice triangle for m=2.  So most vertices clear their neighbours.
     Every draw the first rule accepts is unchanged.
     """
-    from .minkowski import random_unit_vectors
-
     m = validate_dimension(m)
     if n < m + 2:
         raise ValueError(f"need at least {m + 2} vertices")

@@ -25,10 +25,6 @@ class NonExtremeVertexError(HypcurvError):
         super().__init__(message or f"vertex {index} is not extreme in the hull")
 
 
-class DegenerateVertexError(HypcurvError):
-    """A vertex has fewer incident facets than the dimension allows."""
-
-
 class UncoveredDirectionError(HypcurvError):
     """A direction has no support point within spherical distance pi/2."""
 

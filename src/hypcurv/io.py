@@ -145,12 +145,9 @@ def body_obj(poly: HyperbolicPolytope, polar_level: int = 3) -> str:
     the Klein projection of its polar boundary graph (a radial mesh)."""
     if poly.m != 2:
         raise ValueError("OBJ emission is for m = 2 bodies")
-    from scipy.spatial import ConvexHull
-
     from .quadrature import build_grid
 
-    hull = ConvexHull(poly.klein_vertices)
-    hull_faces = _oriented_faces(poly.klein_vertices, hull.simplices)
+    hull_faces = _oriented_faces(poly.klein_vertices, poly.simplices)
 
     sphere = build_grid(2, polar_level)
     h = support_fn(poly, sphere.nodes)

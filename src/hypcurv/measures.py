@@ -217,14 +217,28 @@ def _cone_hull(points: np.ndarray) -> SphericalConvexSet:
     e1, e2 = _plane_basis(center)
     order = np.argsort(np.arctan2(rays @ e2, rays @ e1))
     rays = rays[order]
-    from .bodies import spherical_polygon_area
-
     area = spherical_polygon_area(rays)
     # the corner between consecutive dual rays lies on both of their planes
     corners = np.cross(rays, np.roll(rays, -1, axis=0))
     extreme = np.argmax(np.abs(pts @ corners.T), axis=0)
     return SphericalConvexSet(2, _CONE, extreme_rays=pts[extreme],
                               dual_generators=rays, polar_area=float(area))
+
+
+def spherical_polygon_area(vertices: np.ndarray) -> float:
+    """Angle-excess area of a convex spherical polygon given ordered corners."""
+    n = len(vertices)
+    total = 0.0
+    for k in range(n):
+        p = vertices[k]
+        a = vertices[(k - 1) % n]
+        b = vertices[(k + 1) % n]
+        ta = a - (a @ p) * p
+        tb = b - (b @ p) * p
+        ta /= np.linalg.norm(ta)
+        tb /= np.linalg.norm(tb)
+        total += np.arccos(np.clip(ta @ tb, -1.0, 1.0))
+    return float(total - (n - 2) * np.pi)
 
 
 def spherical_hull(points: np.ndarray, m: int | None = None) -> SphericalConvexSet:
@@ -370,6 +384,27 @@ def _alexandrov_exhaustive(mu: DiscreteMeasure):
     return best, min(witnesses, key=lambda t: (len(t), t))
 
 
+def _mass_margins(mu: DiscreteMeasure) -> tuple[float, float, int]:
+    """Total mass minus the sphere's, half the sphere's measure minus the
+    heaviest atom, and that atom's index."""
+    sphere = sphere_measure(mu.m)
+    heaviest = int(np.argmax(mu.weights))
+    return mu.total - sphere, 0.5 * sphere - float(mu.weights[heaviest]), heaviest
+
+
+def mass_violation(mu: DiscreteMeasure) -> str | None:
+    """The O(N) conditions mu fails, each with its margin, or None.  They run
+    at every N, also where the subset condition is refused."""
+    eps = COND_EPS_FACTOR * sphere_measure(mu.m)
+    excess, room, heaviest = _mass_margins(mu)
+    failed = []
+    if not excess > eps:
+        failed.append(f"total mass condition fails: margin {excess:.6g}")
+    if not room > eps:
+        failed.append(f"vertex condition fails at atom {heaviest}: margin {room:.6g}")
+    return "; ".join(failed) or None
+
+
 def check_conditions(mu: DiscreteMeasure) -> ConditionReport:
     """Run the three admissibility tests on a discrete measure, exactly.
 
@@ -384,14 +419,8 @@ def check_conditions(mu: DiscreteMeasure) -> ConditionReport:
         raise ValueError(f"the exact m=2 check enumerates all 2^N - 1 subsets and is "
                          f"refused for N = {mu.size} > EXHAUSTIVE_MAX_ATOMS = "
                          f"{EXHAUSTIVE_MAX_ATOMS}")
-    sphere = sphere_measure(mu.m)
-    eps = COND_EPS_FACTOR * sphere
-
-    total_excess = mu.total - sphere
-    total_ok = total_excess > eps
-    vmax_idx = int(np.argmax(mu.weights))
-    vmax = float(mu.weights[vmax_idx])
-    vertex_ok = (0.5 * sphere - vmax) > eps
+    eps = COND_EPS_FACTOR * sphere_measure(mu.m)
+    total_excess, room, vmax_idx = _mass_margins(mu)
 
     if mu.m == 1:
         slack, witness, evaluated = _alexandrov_m1(mu)
@@ -401,10 +430,10 @@ def check_conditions(mu: DiscreteMeasure) -> ConditionReport:
     alexandrov_ok = bool(slack > eps)
 
     return ConditionReport(
-        total_mass_ok=bool(total_ok),
+        total_mass_ok=bool(total_excess > eps),
         total_mass_excess=float(total_excess),
-        vertex_ok=bool(vertex_ok),
-        vertex_max_weight=vmax,
+        vertex_ok=bool(room > eps),
+        vertex_max_weight=float(mu.weights[vmax_idx]),
         vertex_argmax=vmax_idx,
         alexandrov_ok=alexandrov_ok,
         alexandrov_slack=float(slack),

@@ -38,7 +38,7 @@ from .ctransform import PSI_FLOOR, PotentialVector, kernel_for
 from .densities import G_psi, g_psi
 from .errors import HypcurvError, PreconditionError
 from .measures import (EXHAUSTIVE_MAX_ATOMS, ConditionReport, DiscreteMeasure,
-                       check_conditions)
+                       check_conditions, mass_violation)
 from .minkowski import sphere_measure
 from .quadrature import QuadratureGrid
 
@@ -74,7 +74,8 @@ class SolveReport:
     the start and after each step, so it has ``iterations + 1`` entries and
     falls strictly; it is empty when the start is invalid.
     ``condition_report`` is None for m=2 above EXHAUSTIVE_MAX_ATOMS atoms,
-    where no exact check runs and a converged solve certifies the measure.
+    where only the two O(N) conditions are checked and a converged solve
+    certifies the measure.
     """
 
     psi: PotentialVector
@@ -225,12 +226,13 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
 
     Checks the admissibility conditions first where the check is exact (m=1,
     or N <= EXHAUSTIVE_MAX_ATOMS), as a hard precondition unless ``force`` is
-    set, then runs damped Newton from the ball heuristic.  Above the limit a
-    converged solve certifies mu (the paper's necessity direction: every
-    body's curvature measure is admissible); a failed one gives its
-    ``stop_reason``.  The
-    returned report carries the potential, the residual history, the
-    relative per-atom residuals and, when the potential describes a valid
+    set, then runs damped Newton from the ball heuristic.  Above the limit
+    only the two O(N) conditions run; a failure raises PreconditionError with
+    ``report=None`` and a message naming the condition and its margin.  There
+    a converged solve certifies mu (the paper's necessity direction: every
+    body's curvature measure is admissible), and a failed one gives its
+    ``stop_reason``.  The returned report carries the potential, the
+    residual history, the relative per-atom residuals and, when the potential describes a valid
     body, that body.  With ``force`` it never raises: an invalid start gives
     an unconverged report with ``extraction_error`` set.
     """
@@ -239,6 +241,8 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
     cond = check_conditions(mu) if mu.m == 1 or mu.size <= EXHAUSTIVE_MAX_ATOMS else None
     if cond is not None and not cond.all_ok and not force:
         raise PreconditionError(cond)
+    if cond is None and not force and (failure := mass_violation(mu)):
+        raise PreconditionError(None, failure)
 
     psi0 = np.full(mu.size, _ball_heuristic_psi(mu))
     try:

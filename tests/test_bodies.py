@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypcurv as hc
 from hypcurv.bodies import (
@@ -170,6 +172,43 @@ class TestCurvatureMeasures:
         icosahedral, others = weights[:12], weights[12:]  # valence 5 and 6
         assert np.ptp(icosahedral) <= 1e-12
         assert np.ptp(others) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 8, 64, 256, 1024, 4096])
+    def test_regular_polygon_closed_form(self, n):
+        # close neighbours lost up to 2e-3 to cancellation in Minkowski tangents
+        for r in (0.01, 0.5, 1.0, 3.0, 8.0):
+            alpha = curvature_measure_angles(regular_polygon(n, r)).weights
+            expected = 2.0 * np.arctan(np.cosh(r) * np.tan(np.pi / n))
+            assert np.abs(alpha / expected - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("solid", ["octahedron", "icosahedron"])
+    def test_regular_polyhedron_closed_form(self, solid, octahedron):
+        # q equilateral faces meet at each vertex; a face's side c has
+        # cosh c = C and its angles are acos(C / (1 + C))
+        if solid == "octahedron":
+            dirs, q, cos_edge = octahedron.directions, 4, 0.0
+        else:
+            dirs, q, cos_edge = hc.icosphere_body(0, 1.0).directions, 5, 1.0 / np.sqrt(5.0)
+        for r in (0.01, 0.5, 1.0, 3.0, 8.0):
+            alpha = curvature_measure_angles(from_vertices(2, dirs, np.full(len(dirs), r))).weights
+            c = np.cosh(r) ** 2 - np.sinh(r) ** 2 * cos_edge
+            expected = 2.0 * np.pi - q * np.arccos(c / (1.0 + c))
+            assert np.abs(alpha / expected - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("m, low, high", [(1, 4, 32), (2, 5, 30)])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_rotation_and_relabelling_permute_atoms(self, m, low, high, data):
+        n = data.draw(st.integers(low, high), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        body = random_polytope(m, n, rng)
+        turn, _ = np.linalg.qr(rng.normal(size=(m + 1, m + 1)))
+        perm = rng.permutation(n)
+        moved = from_vertices(m, body.directions[perm] @ turn.T, body.radii[perm])
+        alpha = curvature_measure_angles(body).weights[perm]
+        assert np.abs(curvature_measure_angles(moved).weights / alpha - 1.0).max() <= 1e-12
+        assert len(moved.facet_vertices) == len(body.facet_vertices)
+        assert len(moved.simplices) == len(body.simplices)
 
     def test_euclidean_limit_square(self):
         tiny = regular_polygon(4, 1e-4)

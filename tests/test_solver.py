@@ -193,14 +193,22 @@ def test_large_m2_solve_certifies_without_check():
 
 
 def test_large_m2_violators_fail_with_a_stop_reason():
+    # above EXHAUSTIVE_MAX_ATOMS the two O(N) conditions still run; with
+    # force the solve runs anyway and names its stop reason
     body = hc.random_polytope(2, 21, np.random.default_rng(21))
     mu = hc.curvature_measure_angles(body)
     light = DiscreteMeasure(2, mu.points, mu.weights * (0.9 * 4.0 * np.pi / mu.total))
     heavy = mu.weights.copy()
     heavy[0] = 2.0 * np.pi + 0.1
-    for bad, reason in ((light, "damping"),
-                        (DiscreteMeasure(2, mu.points, heavy), "geometry")):
-        rep = solve(bad)
+    for bad, reason, condition, margin in (
+            (light, "damping", "total mass condition", f"{-0.1 * 4.0 * np.pi:.6g}"),
+            (DiscreteMeasure(2, mu.points, heavy), "geometry", "vertex condition",
+             f"{-0.1:.6g}")):
+        with pytest.raises(hc.PreconditionError) as info:
+            solve(bad)
+        assert info.value.report is None
+        assert condition in str(info.value) and margin in str(info.value)
+        rep = solve(bad, force=True)
         assert not rep.converged and rep.stop_reason == reason
         assert rep.condition_report is None
 
