@@ -33,10 +33,8 @@ from .cells import SupportKernel
 from .errors import DegenerateHullError, NonExtremeVertexError, OriginNotInteriorError
 from .minkowski import (
     TIE_EPS,
-    basepoint,
     boost_matrix,
     hyperbolic_point,
-    lorentz_dot,
     normalize_rows,
     random_unit_vectors,
     unit_rows,
@@ -187,14 +185,14 @@ def radial_fn(poly: HyperbolicPolytope, xi: np.ndarray):
     return np.arctanh(rho)
 
 
-def t_map(poly: HyperbolicPolytope, eta: np.ndarray, tie_eps: float = TIE_EPS) -> np.ndarray:
-    """Vertex indices attaining the support maximum at eta (ties within tie_eps)."""
+def t_map(poly: HyperbolicPolytope, eta: np.ndarray) -> np.ndarray:
+    """Vertex indices attaining the support maximum at eta (ties within TIE_EPS)."""
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 1:
         raise ValueError("t_map takes a single direction")
     scores = (eta @ poly.directions.T) * np.tanh(poly.radii)
     best = scores.max()
-    return np.nonzero(scores >= best * (1.0 - tie_eps))[0]
+    return np.nonzero(scores >= best * (1.0 - TIE_EPS))[0]
 
 
 # -- curvature measures ----------------------------------------------------
@@ -279,28 +277,23 @@ def curvature_measure_angles(poly: HyperbolicPolytope):
 # -- area, isometries, generators ------------------------------------------
 
 
-def _angles_at(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Angles at the points x between the geodesics to a and to b (rows of
-    Minkowski points), from the unit tangents (y + <x, y> x) / sqrt(<x, y>^2 - 1)."""
-    def tangent(y):
-        c = lorentz_dot(x, y)[:, None]
-        return (y + c * x) / np.sqrt(np.maximum(c * c - 1.0, 1e-300))
-
-    return np.arccos(np.clip(lorentz_dot(tangent(a), tangent(b)), -1.0, 1.0))
-
-
 def polygon_area_m1(poly: HyperbolicPolytope) -> float:
     """Hyperbolic area of an m=1 polytope by fan triangulation from o.
 
-    A fan triangle's area is pi minus its angles, which are taken between
-    Minkowski tangents here, independently of ``curvature_measure_angles``.
+    The triangle o, a, b with t = tanh(r/2) at a and b and angle theta at o
+    has area 2 atan2(t_a t_b sin theta, 1 - t_a t_b cos theta), independently
+    of ``curvature_measure_angles``.  1 - cos theta is written as
+    |xi_a - xi_b|^2 / 2, so thin triangles keep their digits.
     """
     if poly.m != 1:
         raise ValueError("polygon_area_m1 requires m = 1")
-    a = poly.vertex_points()[poly.order]
-    b = np.roll(a, -1, axis=0)
-    o = np.broadcast_to(basepoint(1), a.shape)
-    return float(np.sum(np.pi - _angles_at(o, a, b) - _angles_at(a, o, b) - _angles_at(b, o, a)))
+    a = poly.order
+    b = np.roll(a, -1)
+    xa, xb = poly.directions[a], poly.directions[b]
+    tt = np.tanh(0.5 * poly.radii[a]) * np.tanh(0.5 * poly.radii[b])
+    sin = xa[:, 0] * xb[:, 1] - xa[:, 1] * xb[:, 0]
+    gap = ((xa - xb) ** 2).sum(axis=1)
+    return float(np.sum(2.0 * np.arctan2(tt * sin, 1.0 - tt + 0.5 * tt * gap)))
 
 
 def apply_isometry(poly: HyperbolicPolytope, direction: np.ndarray, length: float) -> HyperbolicPolytope:

@@ -9,12 +9,17 @@ a discrete potential (phi = -ln b).  One kernel serves both, which keeps the
 forward curvature map and the grid form of the dual problem
 (``solver.dual_objective`` and its gradient) numerically consistent.
 
-m=1 cell integrals are computed per grid interval by Simpson's rule with
-exact splitting at the angles where the active branch changes, so they
-converge at fourth order in the grid spacing.  m=2 cell integrals bin grid
-nodes into cells; a node whose best scores tie within ``tie_eps`` (the rule
-of ``bodies.t_map`` and ``ctransform.c_transform``) splits its weight
-equally between the tied cells.
+b is the support function of the convex hull of the points s_i xi_i, so the
+cells are its normal cones.  For m=1 they are read off one ``ConvexHull``:
+the cell of a hull vertex is the arc between the outward normals of its two
+edges, and a point that is not a hull vertex has an empty cell.  The grid is
+cut at those normals and Simpson's rule is applied to every piece, so m=1
+cell integrals converge at fourth order in the grid spacing.  m=2 cell
+integrals bin grid nodes into cells; a node whose best scores tie within
+``TIE_EPS`` (the rule of ``bodies.t_map`` and ``ctransform.c_transform``)
+splits its weight equally between the tied cells.  Dot products with the
+grid are formed in blocks of at most ``_BLOCK_ENTRIES`` entries and never
+stored.
 """
 
 from __future__ import annotations
@@ -22,51 +27,37 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .densities import F_of_b, f_of_b
 from .errors import UncoveredDirectionError
-from .minkowski import TIE_EPS, validate_dimension
+from .minkowski import DOT_FLOOR, TIE_EPS, validate_dimension
 from .quadrature import QuadratureGrid
 
 # Grid nodes must have a support point within distance pi/2 - DENSITY_MARGIN.
 DENSITY_MARGIN = 1e-6
 
-# Store the (nodes x supports) dot table only below this entry count.
-_STORE_LIMIT = 20_000_000
+# Entries of one (grid rows x supports) block of dot products.
+_BLOCK_ENTRIES = 2_000_000
 
 
 class SupportKernel:
-    """Precomputed evaluation tables for one (support set, grid) pair."""
+    """Evaluation of cell integrals and scores for one (support set, grid) pair."""
 
     def __init__(self, m: int, points: np.ndarray, grid: QuadratureGrid,
-                 tie_eps: float = TIE_EPS, check_density: bool = True):
+                 check_density: bool = True):
         self.m = validate_dimension(m)
         if grid.m != self.m:
             raise ValueError("grid dimension does not match")
         self.points = np.asarray(points, dtype=float)
         self.n = self.points.shape[0]
         self.grid = grid
-        self.tie_eps = float(tie_eps)
         if self.m == 1:
-            k = grid.size
-            self.step = 2.0 * np.pi / k
-            self.node_angles = self.step * np.arange(k)
+            self.node_angles = (2.0 * np.pi / grid.size) * np.arange(grid.size)
             self.sup_angles = np.arctan2(self.points[:, 1], self.points[:, 0])
-            self.cos_nodes = np.cos(self.node_angles[:, None] - self.sup_angles[None, :])
-            self.cos_mids = np.cos(
-                (self.node_angles + 0.5 * self.step)[:, None] - self.sup_angles[None, :]
-            )
-            max_dot = self.cos_nodes.max(axis=1)
-        else:
-            self._dots = None
-            if grid.size * self.n <= _STORE_LIMIT:
-                self._dots = grid.nodes @ self.points.T
-                max_dot = self._dots.max(axis=1)
-            else:
-                max_dot = np.full(grid.size, -np.inf)
-                for lo, hi in self._chunks():
-                    max_dot[lo:hi] = (grid.nodes[lo:hi] @ self.points.T).max(axis=1)
         if check_density:
+            max_dot = np.concatenate([self._dot_block(lo, hi).max(axis=1)
+                                      for lo, hi in self._chunks()])
             worst = int(np.argmin(max_dot))
             if max_dot[worst] < np.sin(DENSITY_MARGIN):
                 raise UncoveredDirectionError(grid.nodes[worst])
@@ -74,15 +65,13 @@ class SupportKernel:
     # -- shared helpers -------------------------------------------------
 
     def _chunks(self):
-        rows = max(1, _STORE_LIMIT // max(self.n, 1))
+        rows = max(1, _BLOCK_ENTRIES // max(self.n, 1))
         for lo in range(0, self.grid.size, rows):
             yield lo, min(lo + rows, self.grid.size)
 
     def _dot_block(self, lo: int, hi: int) -> np.ndarray:
         if self.m == 1:
-            return self.cos_nodes[lo:hi]
-        if self._dots is not None:
-            return self._dots[lo:hi]
+            return np.cos(self.node_angles[lo:hi, None] - self.sup_angles[None, :])
         return self.grid.nodes[lo:hi] @ self.points.T
 
     def node_scores(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +79,7 @@ class SupportKernel:
         s = np.asarray(s, dtype=float)
         best = np.empty(self.grid.size)
         arg = np.empty(self.grid.size, dtype=int)
-        for lo, hi in self._chunks() if self.m == 2 else [(0, self.grid.size)]:
+        for lo, hi in self._chunks():
             scores = self._dot_block(lo, hi) * s
             best[lo:hi] = scores.max(axis=1)
             arg[lo:hi] = scores.argmax(axis=1)
@@ -106,10 +95,8 @@ class SupportKernel:
 
     def conjugate_update(self, phi: np.ndarray) -> np.ndarray:
         """Grid c-transform of phi back onto the support: min_k (c_ki - phi_k)."""
-        from .minkowski import DOT_FLOOR
-
         best = np.full(self.n, -np.inf)
-        for lo, hi in self._chunks() if self.m == 2 else [(0, self.grid.size)]:
+        for lo, hi in self._chunks():
             dots = self._dot_block(lo, hi)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ln = np.where(dots > DOT_FLOOR, np.log(np.maximum(dots, DOT_FLOOR)), -np.inf)
@@ -145,7 +132,7 @@ class SupportKernel:
                 bad = lo + int(np.argmin(best))
                 raise UncoveredDirectionError(self.grid.nodes[bad])
             contrib = w[lo:hi] * f_of_b(best, self.m)
-            row, col = np.nonzero(scores >= (best * (1.0 - self.tie_eps))[:, None])
+            row, col = np.nonzero(scores >= (best * (1.0 - TIE_EPS))[:, None])
             share = contrib / np.bincount(row, minlength=hi - lo)
             masses += np.bincount(col, weights=share[row], minlength=self.n)
             if want_objective:
@@ -155,111 +142,46 @@ class SupportKernel:
             objective = math.fsum(np.concatenate(objective_terms))
         return masses, objective
 
-    def _branch_values(self, theta, s):
-        return s * np.cos(theta - self.sup_angles)
-
-    def _argmax_at(self, theta, s) -> int:
-        return int(np.argmax(self._branch_values(theta, s)))
-
-    def _crossing(self, i, j, a, b, s) -> float:
-        """Angle in (a, b) where branches i and j exchange dominance."""
-        si, sj = s[i], s[j]
-        ti, tj = self.sup_angles[i], self.sup_angles[j]
-        # v_i - v_j = A cos(theta) + B sin(theta); roots at delta +- pi/2
-        big_a = si * np.cos(ti) - sj * np.cos(tj)
-        big_b = si * np.sin(ti) - sj * np.sin(tj)
-        delta = np.arctan2(big_b, big_a)
-        best = None
-        for cand in (delta + 0.5 * np.pi, delta - 0.5 * np.pi):
-            t = a + (cand - a) % (2.0 * np.pi)
-            if a < t < b:
-                best = t if best is None else min(best, t)
-        if best is not None:
-            return best
-        # crossing pinched against an endpoint by roundoff
-        dl = si * np.cos(a - ti) - sj * np.cos(a - tj)
-        dr = si * np.cos(b - ti) - sj * np.cos(b - tj)
-        return a if abs(dl) <= abs(dr) else b
-
-    def _simpson_piece(self, a, b, idx, s, masses, objective_terms):
-        theta = np.array([a, 0.5 * (a + b), b])
-        vals = s[idx] * np.cos(theta - self.sup_angles[idx])
-        vals = np.minimum(vals, 1.0 - 1e-16)
-        width = b - a
-        coeff = width / 6.0
-        fv = f_of_b(vals, 1)
-        masses[idx] += coeff * (fv[0] + 4.0 * fv[1] + fv[2])
-        if objective_terms is not None:
-            Fv = F_of_b(vals, 1)
-            objective_terms.append(coeff * (Fv[0] + 4.0 * Fv[1] + Fv[2]))
-
-    def _refine_m1(self, a, b, ia, ib, s, masses, objective_terms, depth):
-        """Integrate over [a, b] knowing the active branches just inside the
-        endpoints; split at branch crossings found in closed form."""
-        if b - a < 1e-14:
-            return
-        if ia != ib:
-            t = self._crossing(ia, ib, a, b, s)
-            if a < t < b and depth <= 48:
-                self._refine_m1(a, t, ia, ia, s, masses, objective_terms, depth + 1)
-                self._refine_m1(t, b, ib, ib, s, masses, objective_terms, depth + 1)
-            else:
-                # crossing pinned to an endpoint (e.g. a cell boundary lying
-                # exactly on a node): the interval is single-branch
-                idx = ib if t <= a else ia
-                self._simpson_piece(a, b, idx, s, masses, objective_terms)
-            return
-        mid = 0.5 * (a + b)
-        im = self._argmax_at(mid, s)
-        if im == ia or depth > 48:
-            self._simpson_piece(a, b, ia, s, masses, objective_terms)
-            return
-        self._refine_m1(a, mid, ia, im, s, masses, objective_terms, depth + 1)
-        self._refine_m1(mid, b, im, ib, s, masses, objective_terms, depth + 1)
-
     def _sweep_m1(self, s, want_objective):
-        vals = self.cos_nodes * s
-        b_nodes = vals.max(axis=1)
-        if b_nodes.min() <= 0.0:
-            bad = int(np.argmin(b_nodes))
-            raise UncoveredDirectionError(self.grid.nodes[bad])
-        arg_nodes = vals.argmax(axis=1)
-        vals_m = self.cos_mids * s
-        b_mids = vals_m.max(axis=1)
-        arg_mids = vals_m.argmax(axis=1)
-
-        left = arg_nodes
-        right = np.roll(arg_nodes, -1)
-        uniform = (left == right) & (arg_mids == left)
-
-        coeff = self.step / 6.0
-        fL = f_of_b(b_nodes, 1)
-        fR = np.roll(fL, -1)
-        fM = f_of_b(b_mids, 1)
-        piece_f = coeff * (fL + 4.0 * fM + fR)
-        masses = np.bincount(left[uniform], weights=piece_f[uniform], minlength=self.n)
-
-        objective_terms = None
+        pts = s[:, None] * self.points
+        try:
+            ring = ConvexHull(pts).vertices          # counterclockwise
+        except QhullError:                           # fewer than 3 points, or collinear
+            ring = np.zeros(0, dtype=int)
+        tail, head = pts[ring], pts[np.roll(ring, -1)]
+        # edge k runs from ring[k] to ring[k+1]; the origin lies strictly
+        # inside exactly when every edge turns counterclockwise about it
+        if len(ring) < 3 or (tail[:, 0] * head[:, 1] - tail[:, 1] * head[:, 0]).min() <= 0.0:
+            raise UncoveredDirectionError(self._widest_gap_direction())
+        edge = head - tail
+        # the cell of ring[k] starts at the outward normal of edge k-1
+        starts = np.roll(np.arctan2(-edge[:, 0], edge[:, 1]) % (2.0 * np.pi), 1)
+        order = np.argsort(starts)
+        starts, owners = starts[order], ring[order]
+        lo = np.sort(np.concatenate([self.node_angles, starts]))
+        hi = np.append(lo[1:], 2.0 * np.pi)
+        mid = 0.5 * (lo + hi)
+        idx = owners[np.searchsorted(starts, mid, side="right") - 1]
+        theta = np.stack([lo, mid, hi])
+        vals = np.minimum(s[idx] * np.cos(theta - self.sup_angles[idx]), 1.0 - 1e-16)
+        coeff = (hi - lo) / 6.0
+        fv = f_of_b(vals, 1)
+        masses = np.bincount(idx, weights=coeff * (fv[0] + 4.0 * fv[1] + fv[2]),
+                             minlength=self.n)
         objective = None
         if want_objective:
-            FL = F_of_b(b_nodes, 1)
-            FM = F_of_b(b_mids, 1)
-            FR = np.roll(FL, -1)
-            piece_F = coeff * (FL + 4.0 * FM + FR)
-            objective_terms = list(piece_F[uniform])
-
-        for k in np.nonzero(~uniform)[0]:
-            a = self.node_angles[k]
-            ia, ib = int(left[k]), int(right[k])
-            if ia == ib != arg_mids[k]:
-                # a third branch pokes through mid-interval
-                self._refine_m1(a, a + 0.5 * self.step, ia, int(arg_mids[k]),
-                                s, masses, objective_terms, 0)
-                self._refine_m1(a + 0.5 * self.step, a + self.step, int(arg_mids[k]),
-                                ib, s, masses, objective_terms, 0)
-            else:
-                self._refine_m1(a, a + self.step, ia, ib, s, masses, objective_terms, 0)
-
-        if want_objective:
-            objective = math.fsum(objective_terms)
+            Fv = F_of_b(vals, 1)
+            objective = math.fsum(coeff * (Fv[0] + 4.0 * Fv[1] + Fv[2]))
         return masses, objective
+
+    def _widest_gap_direction(self) -> np.ndarray:
+        """Middle of the widest gap between support angles.
+
+        When the origin is not strictly inside the hull, the support lies in
+        a closed half-plane, the gap is at least pi and b <= 0 here.
+        """
+        angles = np.sort(self.sup_angles)
+        gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+        k = int(np.argmax(gaps))
+        mid = angles[k] + 0.5 * gaps[k]
+        return np.array([np.cos(mid), np.sin(mid)])

@@ -17,8 +17,14 @@ area difference is known in closed form.
 Intersection counts with a polytope's polar boundary reduce to an exact
 two-dimensional cone test: in the variables u = (cos s, sin s) the sign of
 t(s) - h(eta(s)) is the minimum of N linear forms, so the region above the
-polar boundary is an arc whose endpoints are the crossing parameters.  A
-partition-and-bisection fallback handles arbitrary support callables.
+polar boundary is an arc whose endpoints are the crossing parameters.  The
+basepoint lies inside the body, so a hitting arc never wraps and its ends
+come from the smallest and largest form angle, accumulated one vertex at a
+time over all samples.  Restricted to omega = {h1 < h2}, a crossing of body
+1 counts where gamma is below body 2's boundary, and one of body 2 where it
+is above body 1's: membership in the other body's arc, with no evaluation
+of either support function.  A partition-and-bisection fallback handles
+arbitrary support callables.
 """
 
 from __future__ import annotations
@@ -29,11 +35,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import HyperbolicPolytope, support_fn
-from .minkowski import sphere_measure, validate_dimension
+from .minkowski import validate_dimension
 from .quadrature import QuadratureGrid
 
-# span within this of pi means the geodesic is tangent: excluded as unstable
+# a span within this of pi, or a lower-omega crossing within this of an end
+# of the other body's arc, marks the geodesic as grazing: excluded as unstable
 _TANGENT_TOL = 1e-9
+
+# sign-change bracketing points of the bisection fallback
+_N_PARTITION = 2048
+
+# allowance for the grid quadrature of the area difference in the agreement flag
+_QUADRATURE_TOL = 1e-3
 
 _CROFTON_FACTOR = {1: 0.5, 2: 1.0 / np.pi}  # m / |S^{m-1}|
 
@@ -125,53 +138,36 @@ def sample_geodesics(m: int, n: int, h_cap: float, seed: int) -> GeodesicSampleS
 # -- intersection counting ---------------------------------------------------
 
 
-def _constraint_angles(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
-    """Angles of the linear forms whose min gives sign(t - h) along gamma."""
-    k = np.tanh(poly.radii)
-    dots_a = samples.xi_a @ poly.directions.T
-    dots_b = samples.xi_b @ poly.directions.T
-    ch, sh = np.cosh(samples.h_a), np.sinh(samples.h_a)
-    e_coef = sh[:, None] - k * ch[:, None] * dots_a
-    d_coef = k * dots_b
-    return np.arctan2(-d_coef, e_coef)
-
-
-def _arc_spans(phi: np.ndarray):
-    """Per row: angular span of the constraint set and the first angle after
-    the widest gap (the window start)."""
-    srt = np.sort(phi % (2.0 * np.pi), axis=1)
-    gaps = np.diff(np.concatenate([srt, srt[:, :1] + 2.0 * np.pi], axis=1), axis=1)
-    widest = np.argmax(gaps, axis=1)
-    span = 2.0 * np.pi - np.take_along_axis(gaps, widest[:, None], axis=1)[:, 0]
-    nxt = (widest + 1) % srt.shape[1]
-    start = np.take_along_axis(srt, nxt[:, None], axis=1)[:, 0]
-    return span, start
-
-
 def _poly_crossings(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
-    """Count (0 or 2), crossing parameters, and tangency flags per sample."""
-    phi = _constraint_angles(samples, poly)
-    span, start = _arc_spans(phi)
+    """Hits, tangency flags and above-arc ends [lo, hi] per sample.
+
+    Vertex i contributes the form (sinh h_a - k_i cosh h_a <xi_a, xi_i>,
+    -k_i <xi_b, xi_i>) with k_i = tanh r_i; gamma is above the polar
+    boundary where every form is positive on u = (cos s, sin s).  The
+    basepoint's form (sinh h_a, 0) is a positive combination of these, so a
+    set of form angles phi_i spanning less than pi contains phi = 0 and does
+    not wrap: its ends are min phi_i and max phi_i, taken one vertex at a
+    time, and the above-arc [max phi_i - pi/2, min phi_i + pi/2] lies in
+    [-pi/2, pi/2].
+    """
+    ch, sh = np.cosh(samples.h_a), np.sinh(samples.h_a)
+    lo_phi = np.full(len(samples), np.inf)
+    hi_phi = np.full(len(samples), -np.inf)
+    for xi, k in zip(poly.directions, np.tanh(poly.radii)):
+        phi = np.arctan2(-k * (samples.xi_b @ xi), sh - k * ch * (samples.xi_a @ xi))
+        np.minimum(lo_phi, phi, out=lo_phi)
+        np.maximum(hi_phi, phi, out=hi_phi)
+    span = hi_phi - lo_phi
     tangent = np.abs(span - np.pi) < _TANGENT_TOL
     hits = span < np.pi
-    lo = start + span - 0.5 * np.pi
-    hi = start + 0.5 * np.pi
-    return hits, tangent, lo, hi
+    return hits, tangent, hi_phi - 0.5 * np.pi, lo_phi + 0.5 * np.pi
 
 
-def _eta_at(xi_a: np.ndarray, h_a: np.ndarray, xi_b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    ch, sh = np.cosh(h_a), np.sinh(h_a)
-    x0 = np.cos(s) * sh
-    vec = (np.cos(s) * ch)[:, None] * xi_a + np.sin(s)[:, None] * xi_b
-    return vec / np.sqrt(1.0 + x0**2)[:, None]
-
-
-def count_intersections(gamma: GeodesicSample, body, omega=None,
-                        n_partition: int = 2048) -> tuple[int, bool]:
+def count_intersections(gamma: GeodesicSample, body, omega=None) -> tuple[int, bool]:
     """Number of crossings of gamma with the polar boundary of a body.
 
     ``body`` is a HyperbolicPolytope (exact cone-arc counting) or a callable
-    support function eta -> h (sign-change bracketing on ``n_partition``
+    support function eta -> h (sign-change bracketing on ``_N_PARTITION``
     points, then bisection to 1e-10).  ``omega`` optionally restricts counting
     to crossings whose sphere direction satisfies omega(eta) (a predicate).
     Returns (count, unstable); unstable samples graze the boundary and must
@@ -188,7 +184,7 @@ def count_intersections(gamma: GeodesicSample, body, omega=None,
             return 0, False
         roots = [float(lo[0]), float(hi[0])]
     else:
-        roots, unstable = _roots_by_bisection(gamma, body, n_partition)
+        roots, unstable = _roots_by_bisection(gamma, body)
         if unstable:
             return 0, True
     if omega is None:
@@ -200,12 +196,12 @@ def count_intersections(gamma: GeodesicSample, body, omega=None,
     return count, False
 
 
-def _roots_by_bisection(gamma: GeodesicSample, h_fn, n_partition: int):
+def _roots_by_bisection(gamma: GeodesicSample, h_fn):
     def q_at(s_vals: np.ndarray) -> np.ndarray:
         t, eta = gamma.cylinder(s_vals)
         return t - np.asarray(h_fn(np.atleast_2d(eta))).reshape(t.shape)
 
-    s_grid = np.linspace(0.0, 2.0 * np.pi, n_partition, endpoint=False)
+    s_grid = np.linspace(0.0, 2.0 * np.pi, _N_PARTITION, endpoint=False)
     q = q_at(s_grid)
     if (np.abs(q) < 1e-12).any():
         return [], True
@@ -214,7 +210,7 @@ def _roots_by_bisection(gamma: GeodesicSample, h_fn, n_partition: int):
     roots = []
     for k in flips:
         a = s_grid[k]
-        b = a + 2.0 * np.pi / n_partition
+        b = a + 2.0 * np.pi / _N_PARTITION
         qa = q[k]
         while b - a > 1e-10:
             mid = 0.5 * (a + b)
@@ -272,14 +268,14 @@ def _masked_polar_area(poly: HyperbolicPolytope, grid: QuadratureGrid,
 def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
                     grid: QuadratureGrid, n_samples: int = 100_000,
                     h_cap: float | None = None, seed: int = 0,
-                    omega: str = "lower", quadrature_tol: float = 1e-3) -> CroftonReport:
+                    omega: str = "lower") -> CroftonReport:
     """Compare polar-area differences of two bodies with the kinematic estimate.
 
     ``omega`` selects the region: "lower" restricts both boundary graphs to
     the set {h1 < h2}, "full" uses the whole sphere.  The left side is the
     quadrature area difference |Sigma_2| - |Sigma_1|; the right side averages
     per-geodesic count differences.  The agreement flag tests
-    |lhs - rhs| <= 3*stderr + quadrature_tol.
+    |lhs - rhs| <= 3*stderr + ``_QUADRATURE_TOL``.
     """
     m = poly1.m
     if poly2.m != m:
@@ -299,21 +295,21 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
     hits2, tan2, lo2, hi2 = _poly_crossings(samples, poly2)
     unstable = tan1 | tan2
 
-    if omega == "full":
-        c1 = 2 * hits1.astype(int)
-        c2 = 2 * hits2.astype(int)
-    else:
-        c1 = np.zeros(len(samples), dtype=int)
-        c2 = np.zeros(len(samples), dtype=int)
-        for hits, lo, hi, out in ((hits1, lo1, hi1, c1), (hits2, lo2, hi2, c2)):
-            idx = np.nonzero(hits)[0]
-            for roots in (lo, hi):
-                eta = _eta_at(samples.xi_a[idx], samples.h_a[idx],
-                              samples.xi_b[idx], roots[idx])
-                b1 = (eta @ poly1.directions.T * np.tanh(poly1.radii)).max(axis=1)
-                b2 = (eta @ poly2.directions.T * np.tanh(poly2.radii)).max(axis=1)
-                unstable[idx] |= np.abs(b1 - b2) < _TANGENT_TOL
-                out[idx] += (b1 < b2).astype(int)
+    arcs = ((hits1, lo1, hi1), (hits2, lo2, hi2))
+    counts = [2 * hits1, 2 * hits2]
+    if omega == "lower":
+        # a crossing of body 1 lies in {h1 < h2} where it is outside body 2's
+        # above-arc (t < h2 there), one of body 2 where it is inside body 1's
+        for k, inside in ((0, False), (1, True)):
+            hits, lo, hi = arcs[k]
+            other_hits, other_lo, other_hi = arcs[1 - k]
+            counts[k] = np.zeros(len(samples), dtype=int)
+            for root in (lo, hi):
+                near = np.minimum(np.abs(root - other_lo), np.abs(root - other_hi))
+                unstable |= hits & other_hits & (near < _TANGENT_TOL)
+                within = other_hits & (other_lo < root) & (root < other_hi)
+                counts[k] += hits & (within == inside)
+    c1, c2 = counts
 
     keep = ~unstable
     diff = (c1 - c2)[keep]
@@ -324,7 +320,7 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
     mean = float(diff.mean())
     rhs = factor * mean
     stderr = factor * float(diff.std(ddof=1)) / np.sqrt(n_used)
-    agree = abs(lhs - rhs) <= 3.0 * stderr + quadrature_tol
+    agree = abs(lhs - rhs) <= 3.0 * stderr + _QUADRATURE_TOL
     vals, counts = np.unique(diff, return_counts=True)
     return CroftonReport(
         lhs=float(lhs),

@@ -74,8 +74,7 @@ def kernel_for(m: int, support: np.ndarray, grid: QuadratureGrid) -> SupportKern
     return kern
 
 
-def c_transform(psi: PotentialVector, eta: np.ndarray,
-                tie_eps: float = TIE_EPS) -> tuple[float, np.ndarray]:
+def c_transform(psi: PotentialVector, eta: np.ndarray) -> tuple[float, np.ndarray]:
     """Conjugate value phi(eta) and the set of minimizing support indices.
 
     phi(eta) = min_i (cost(eta, xi_i) - psi_i) over the finite-cost indices;
@@ -92,7 +91,7 @@ def c_transform(psi: PotentialVector, eta: np.ndarray,
     # min_i(-ln dot - psi) = -ln max_i(dot * e^psi), computed in score form
     scores = np.where(finite, dots * np.exp(psi.values), -np.inf)
     best = scores.max()
-    arg = np.nonzero(scores >= best * (1.0 - tie_eps))[0]
+    arg = np.nonzero(scores >= best * (1.0 - TIE_EPS))[0]
     return float(-np.log(best)), arg
 
 

@@ -46,14 +46,6 @@ def lorentz_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray | float:
     return -x[..., 0] * y[..., 0] + np.sum(x[..., 1:] * y[..., 1:], axis=-1)
 
 
-def embed_direction(xi: np.ndarray) -> np.ndarray:
-    """Embed a sphere direction xi in R^{m+1} as (0, xi) in R^{m+2}."""
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros(xi.shape[:-1] + (xi.shape[-1] + 1,))
-    out[..., 1:] = xi
-    return out
-
-
 def hyperbolic_point(xi: np.ndarray, t) -> np.ndarray:
     """Point cosh(t)*o + sinh(t)*xi of hyperbolic space, distance t from o."""
     xi = np.asarray(xi, dtype=float)

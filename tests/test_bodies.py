@@ -19,6 +19,7 @@ from hypcurv.bodies import (
     support_fn,
     t_map,
 )
+from hypcurv.cells import SupportKernel
 
 
 def dirs_from_angles(angles):
@@ -181,6 +182,18 @@ class TestCurvatureMeasures:
             expected = 2.0 * np.arctan(np.cosh(r) * np.tan(np.pi / n))
             assert np.abs(alpha / expected - 1.0).max() <= 1e-9
 
+    @pytest.mark.parametrize("n", [3, 64, 1024, 8192])
+    def test_regular_polygon_grid_masses_closed_form(self, n, grid_m1):
+        # the cell of a regular polygon vertex carries 2/c atan(tan(pi/n)/c),
+        # c = sech r; at n = 8192 a cell is narrower than a grid step
+        dirs = dirs_from_angles(2.0 * np.pi * np.arange(n) / n)
+        kernel = SupportKernel(1, dirs, grid_m1, check_density=False)
+        for r in (0.01, 0.5, 1.0, 3.0):
+            masses, _ = kernel.cell_sums(np.full(n, np.tanh(r)))
+            c = 1.0 / np.cosh(r)
+            expected = 2.0 / c * np.arctan(np.tan(np.pi / n) / c)
+            assert np.abs(masses / expected - 1.0).max() <= 1e-9
+
     @pytest.mark.parametrize("solid", ["octahedron", "icosahedron"])
     def test_regular_polyhedron_closed_form(self, solid, octahedron):
         # q equilateral faces meet at each vertex; a face's side c has
@@ -255,6 +268,14 @@ class TestAreaAndIsometry:
             poly = random_polytope(1, int(rng.integers(4, 9)), rng)
             total = curvature_measure_angles(poly).weights.sum()
             assert abs(total - 2 * np.pi - polygon_area_m1(poly)) < 1e-8
+
+    @pytest.mark.parametrize("n", [4, 8, 64, 256, 1024, 4096])
+    def test_regular_polygon_area_closed_form(self, n):
+        # Minkowski-tangent angles lost up to 3.6e-2 at (4096, 0.01); the
+        # reference itself cancels to about 5e-12 at r = 0.01
+        for r in (0.01, 0.5, 1.0, 3.0, 8.0):
+            expected = n * 2.0 * np.arctan(np.cosh(r) * np.tan(np.pi / n)) - 2.0 * np.pi
+            assert abs(polygon_area_m1(regular_polygon(n, r)) / expected - 1.0) <= 1e-9
 
     def test_area_small_body_vanishes(self):
         assert polygon_area_m1(regular_polygon(8, 1e-4)) < 1e-6

@@ -118,6 +118,30 @@ class TestCompare:
                 outer, grid_m1
             )
 
+    def test_crossing_pair_lower_omega_matches_bisection_oracle(self, grid_m1):
+        # neither body contains the other, so omega = {h1 < h2} is a proper
+        # part of the sphere and each crossing is kept or dropped by it
+        b1 = hc.regular_polygon(5, 1.0)
+        turned = 2.0 * np.pi * np.arange(5) / 5 + np.pi / 5
+        b2 = hc.from_vertices(1, np.column_stack([np.cos(turned), np.sin(turned)]),
+                              np.full(5, 1.0))
+        rep = crofton_compare(b1, b2, grid_m1, n_samples=200, seed=4)
+        samples = sample_geodesics(1, 200, rep.h_cap, seed=4)
+        h1 = lambda etas: hc.support_fn(b1, etas)
+        h2 = lambda etas: hc.support_fn(b2, etas)
+        lower = lambda eta: h1(eta[None])[0] < h2(eta[None])[0]
+        diffs = []
+        for i in range(len(samples)):
+            c1, u1 = count_intersections(samples[i], h1, omega=lower)
+            c2, u2 = count_intersections(samples[i], h2, omega=lower)
+            assert not (u1 or u2)
+            diffs.append(c1 - c2)
+        vals, counts = np.unique(diffs, return_counts=True)
+        assert rep.samples_unstable == 0
+        assert len(set(vals)) > 1
+        assert rep.diff_counts == {int(v): int(c) for v, c in zip(vals, counts)}
+        assert rep.mean_diff == pytest.approx(np.mean(diffs), abs=1e-15)
+
     def test_stderr_scaling(self, grid_m1):
         b1 = hc.regular_polygon(32, 0.5)
         b2 = hc.regular_polygon(32, 1.0)

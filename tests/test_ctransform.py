@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hypcurv as hc
+from hypcurv.cells import SupportKernel
 from hypcurv.ctransform import (
     PotentialVector,
     c_transform,
@@ -160,6 +161,13 @@ def test_uncovered_direction_error():
         c_transform(psi, np.array([-1.0, 0.0]))
     with pytest.raises(hc.UncoveredDirectionError):
         grid_conjugate(psi, hc.build_grid(1, 2))
+    # the m=1 sweep refuses a hull that does not hold the origin strictly,
+    # degenerate ones included, and names a direction with b <= 0
+    for points in (support, support[:2]):
+        kern = SupportKernel(1, points, hc.build_grid(1, 2), check_density=False)
+        with pytest.raises(hc.UncoveredDirectionError) as err:
+            kern.cell_sums(np.full(len(points), 0.5))
+        assert (points @ err.value.direction).max() <= 0.0
 
 
 def test_values_near_zero_clamped(caplog):
