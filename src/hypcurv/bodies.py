@@ -17,7 +17,10 @@ vertex directions.  Two independent routes compute it:
   vertex as m pi minus the sum of its corner angles, all corners at once from
   the directions and radii (``_corner_angles``).
 
-Their agreement is one of the package's main self-checks.
+Their agreement is one of the package's main self-checks.  The corner
+formula also gives its own partial derivatives in the radii, from which
+``exterior_angle_jacobian`` assembles d alpha / d r exactly; the Newton
+solve of ``solver`` runs on it.
 """
 
 from __future__ import annotations
@@ -54,9 +57,8 @@ class HyperbolicPolytope:
     directions: np.ndarray          # (N, m+1) unit vertex directions
     radii: np.ndarray               # (N,) hyperbolic radii
     klein_vertices: np.ndarray      # (N, m+1) tanh(r_i) xi_i
-    facet_normals: np.ndarray       # (F, m+1) outward unit normals (Klein)
+    facet_normals: np.ndarray       # (F, m+1) outward unit normals of qhull's facets (Klein)
     facet_supports: np.ndarray      # (F,) Klein support distances in (0, 1)
-    facet_vertices: tuple           # tuple of vertex-index tuples per facet
     order: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     simplices: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=int))
     # ``order`` is the counterclockwise vertex ordering for m=1; ``simplices``
@@ -74,25 +76,6 @@ class HyperbolicPolytope:
     def vertex_points(self) -> np.ndarray:
         """Vertices as points of hyperbolic space in R^{m+2}."""
         return hyperbolic_point(self.directions, self.radii)
-
-
-def _merged_facets(hull: ConvexHull) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Group qhull's simplicial facets into geometric facets by their plane.
-
-    Planes whose equations agree on a 1e-9 lattice form one facet; its normal
-    and support come from its first simplex, and its vertices are the sorted
-    union of its simplices' vertices.
-    """
-    eq, simplices = hull.equations, hull.simplices
-    keys = np.round(eq / 1e-9).astype(np.int64)
-    _, first, plane = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    # one code per (facet, vertex) pair, sorted by facet and then vertex
-    size = len(hull.points)
-    facet, vertex = np.divmod(np.unique(plane.reshape(-1, 1) * size + simplices), size)
-    bounds = [0, *(np.flatnonzero(np.diff(facet)) + 1).tolist(), len(facet)]
-    vertex = vertex.tolist()
-    members = tuple(tuple(vertex[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return eq[first, :-1], -eq[first, -1], members
 
 
 def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> HyperbolicPolytope:
@@ -144,7 +127,8 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
             "basepoint is not interior to the Klein hull: the vertex directions "
             f"lie in a closed {('half-plane', 'half-space')[m - 1]}"
         )
-    normals, supports, facets = _merged_facets(hull)
+    # a plane split into several simplices repeats, which changes no minimum
+    normals, supports = hull.equations[:, :-1], -hull.equations[:, -1]
     if supports.min() < MIN_SUPPORT:
         raise OriginNotInteriorError(
             f"facet support {supports.min():.3e} below {MIN_SUPPORT:.0e}"
@@ -158,7 +142,6 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
         klein_vertices=klein,
         facet_normals=normals,
         facet_supports=supports,
-        facet_vertices=facets,
         **layout,
     )
 
@@ -219,48 +202,9 @@ def polar_boundary_area(poly: HyperbolicPolytope, grid: QuadratureGrid) -> float
     return math.fsum(measure.weights)
 
 
-def _corner_angles(dirs: np.ndarray, radii: np.ndarray, i, j, k) -> np.ndarray:
-    """Angle at vertex i between its hull edges to vertices j and k.
-
-    ``dirs`` holds the directions as (3, N) columns.  Seen from vertex i, the
-    edge to j leaves at the angle B_ij from the geodesic back to o, with
-    cot B_ij = (sinh r_i coth r_j - cosh r_i cos theta_ij) / sin theta_ij.
-    The numerator is evaluated as sinh(r_i - r_j) / sinh r_j + cosh r_i
-    |xi_i - xi_j|^2 / 2, so close vertices lose no digits to cancellation.
-    The edges to j and k are turned about that geodesic by the spherical
-    angle phi at xi_i between xi_j and xi_k.  The spherical law of cosines
-    in half-angle form gives the corner c from both sides, so it keeps its
-    digits near 0 and near pi:
-
-        sin^2(c/2) = sin^2((B_ij - B_ik)/2) + sin B_ij sin B_ik sin^2(phi/2)
-        cos^2(c/2) = cos^2((B_ij + B_ik)/2) + sin B_ij sin B_ik cos^2(phi/2)
-    """
-    ends = np.stack([j, k])
-    x, y = dirs[:, i][:, None], dirs[:, ends]             # (3, 1, K), (3, 2, K)
-    normals = x[[1, 2, 0]] * y[[2, 0, 1]] - x[[2, 0, 1]] * y[[1, 2, 0]]   # x cross y
-    gap = x - y
-    r_i, r_ends = radii[i], radii[ends]
-    fan = np.arctan2(np.sqrt((normals * normals).sum(axis=0)),
-                     np.sinh(r_i - r_ends) / np.sinh(r_ends)
-                     + 0.5 * np.cosh(r_i) * (gap * gap).sum(axis=0))
-    # (xi_i cross xi_j) cross (xi_i cross xi_k) = det(xi_i, xi_j, xi_k) xi_i
-    turn = np.arctan2(np.abs((normals[:, 0] * y[:, 1]).sum(axis=0)),
-                      (normals[:, 0] * normals[:, 1]).sum(axis=0))
-    both = np.sin(fan[0]) * np.sin(fan[1])
-    half_sin = np.sin(0.5 * (fan[0] - fan[1])) ** 2 + both * np.sin(0.5 * turn) ** 2
-    half_cos = np.cos(0.5 * (fan[0] + fan[1])) ** 2 + both * np.cos(0.5 * turn) ** 2
-    return 2.0 * np.arctan2(np.sqrt(half_sin), np.sqrt(half_cos))
-
-
-def curvature_measure_angles(poly: HyperbolicPolytope):
-    """Curvature weights as exterior (solid) angles at the vertices.
-
-    alpha_i is m pi minus the sum of the corner angles at vertex i.  An m=1
-    vertex has one corner, between its two neighbours; for m=2 the corners
-    of the hull triangles at vertex i add up to the angles of its faces.
-    """
-    from .measures import DiscreteMeasure
-
+def _corners(poly: HyperbolicPolytope):
+    """Directions as (3, N) columns and the hull's corners (i, j, k): vertex i
+    between its edges to j and k, one per m=1 vertex and three per m=2 triangle."""
     if poly.m == 1:
         i = poly.order
         j, k = np.roll(i, 1), np.roll(i, -1)
@@ -269,9 +213,83 @@ def curvature_measure_angles(poly: HyperbolicPolytope):
     # m=1 directions lie in the plane z = 0, where every turn is pi
     dirs = np.zeros((3, poly.n_vertices))
     dirs[:poly.m + 1] = poly.directions.T
-    corners = _corner_angles(dirs, poly.radii, i, j, k)
+    return dirs, i, j, k
+
+
+def _corner_angles(dirs: np.ndarray, radii: np.ndarray, i, j, k):
+    """Angle c at vertex i between its hull edges to vertices j and k, and
+    its partial derivatives in r_i, r_j and r_k.
+
+    ``dirs`` holds the directions as (3, N) columns.  Seen from vertex i, the
+    edge to j leaves at the angle B_ij = atan2(S_ij, N_ij) from the geodesic
+    back to o, with S_ij = |xi_i x xi_j| and N_ij = sinh(r_i - r_j) / sinh r_j
+    + cosh r_i |xi_i - xi_j|^2 / 2 (= sinh r_i coth r_j - cosh r_i cos theta_ij
+    without the cancellation of close vertices).  The edges to j and k are
+    turned about that geodesic by the spherical angle phi at xi_i between xi_j
+    and xi_k, which does not move with the radii.  The spherical law of
+    cosines in half-angle form gives c from both sides, so it keeps its
+    digits near 0 and near pi:
+
+        sin^2(c/2) = sin^2((B_ij - B_ik)/2) + sin B_ij sin B_ik sin^2(phi/2)
+        cos^2(c/2) = cos^2((B_ij + B_ik)/2) + sin B_ij sin B_ik cos^2(phi/2)
+
+    The derivatives chain sin c dc/dB_ij = sin B_ij cos B_ik - cos B_ij
+    sin B_ik cos phi, dB_ij = -S_ij dN_ij / (S_ij^2 + N_ij^2), dN_ij/dr_i =
+    cosh(r_i - r_j) / sinh r_j + sinh r_i |xi_i - xi_j|^2 / 2 and dN_ij/dr_j =
+    -sinh r_i / sinh^2 r_j.
+    """
+    ends = np.stack([j, k])
+    x, y = dirs[:, i][:, None], dirs[:, ends]             # (3, 1, K), (3, 2, K)
+    normals = x[[1, 2, 0]] * y[[2, 0, 1]] - x[[2, 0, 1]] * y[[1, 2, 0]]   # x cross y
+    gap = ((x - y) ** 2).sum(axis=0)
+    r_i, r_ends = radii[i], radii[ends]
+    sinh_ends = np.sinh(r_ends)
+    s = np.sqrt((normals * normals).sum(axis=0))
+    n = np.sinh(r_i - r_ends) / sinh_ends + 0.5 * np.cosh(r_i) * gap
+    fan = np.arctan2(s, n)
+    # (xi_i cross xi_j) cross (xi_i cross xi_k) = det(xi_i, xi_j, xi_k) xi_i
+    turn = np.arctan2(np.abs((normals[:, 0] * y[:, 1]).sum(axis=0)),
+                      (normals[:, 0] * normals[:, 1]).sum(axis=0))
+    sin_fan, cos_fan = np.sin(fan), np.cos(fan)
+    both = sin_fan[0] * sin_fan[1]
+    half_sin = np.sin(0.5 * (fan[0] - fan[1])) ** 2 + both * np.sin(0.5 * turn) ** 2
+    half_cos = np.cos(0.5 * (fan[0] + fan[1])) ** 2 + both * np.cos(0.5 * turn) ** 2
+    corner = 2.0 * np.arctan2(np.sqrt(half_sin), np.sqrt(half_cos))
+
+    # dc/dN_ij and dc/dN_ik
+    slope = ((sin_fan * cos_fan[::-1] - cos_fan * sin_fan[::-1] * np.cos(turn))
+             / np.sin(corner) * (-s / (s * s + n * n)))
+    dn_di = np.cosh(r_i - r_ends) / sinh_ends + 0.5 * np.sinh(r_i) * gap
+    dc_dj, dc_dk = slope * (-np.sinh(r_i) / sinh_ends ** 2)
+    return corner, (slope * dn_di).sum(axis=0), dc_dj, dc_dk
+
+
+def curvature_measure_angles(poly: HyperbolicPolytope):
+    """Curvature weights as exterior (solid) angles at the vertices.
+
+    alpha_i is m pi minus the sum of the corner angles at vertex i; for m=2
+    its triangles' corners add up to the angles of its faces.
+    """
+    from .measures import DiscreteMeasure
+
+    dirs, i, j, k = _corners(poly)
+    corners = _corner_angles(dirs, poly.radii, i, j, k)[0]
     alpha = poly.m * np.pi - np.bincount(i, corners, minlength=poly.n_vertices)
     return DiscreteMeasure(poly.m, poly.directions, alpha)
+
+
+def exterior_angle_jacobian(poly: HyperbolicPolytope) -> np.ndarray:
+    """d alpha / d r as a dense (N, N) array, in closed form.
+
+    Row i collects the negated partials of the corners at vertex i, so it is
+    nonzero only at i and at the vertices joined to i by a hull edge.
+    """
+    dirs, i, j, k = _corners(poly)
+    _, d_i, d_j, d_k = _corner_angles(dirs, poly.radii, i, j, k)
+    jac = np.zeros((poly.n_vertices, poly.n_vertices))
+    for column, slope in ((i, d_i), (j, d_j), (k, d_k)):
+        np.add.at(jac, (i, column), -slope)
+    return jac
 
 
 # -- area, isometries, generators ------------------------------------------

@@ -18,8 +18,8 @@ cell integrals converge at fourth order in the grid spacing.  m=2 cell
 integrals bin grid nodes into cells; a node whose best scores tie within
 ``TIE_EPS`` (the rule of ``bodies.t_map`` and ``ctransform.c_transform``)
 splits its weight equally between the tied cells.  Dot products with the
-grid are formed in blocks of at most ``_BLOCK_ENTRIES`` entries and never
-stored.
+grid nodes, ``nodes @ points.T`` for both m, are formed in blocks of at most
+``_BLOCK_ENTRIES`` entries and never stored.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ class SupportKernel:
             yield lo, min(lo + rows, self.grid.size)
 
     def _dot_block(self, lo: int, hi: int) -> np.ndarray:
-        if self.m == 1:
-            return np.cos(self.node_angles[lo:hi, None] - self.sup_angles[None, :])
         return self.grid.nodes[lo:hi] @ self.points.T
 
     def node_scores(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,9 @@ time over all samples.  Restricted to omega = {h1 < h2}, a crossing of body
 is above body 1's: membership in the other body's arc, with no evaluation
 of either support function.  A partition-and-bisection fallback handles
 arbitrary support callables.
+
+The area side integrates f(b) / cosh(r_i) over the grid nodes, with b = tanh h
+each node's best score from ``cells.SupportKernel``, formed block by block.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import HyperbolicPolytope, support_fn
+from .bodies import HyperbolicPolytope
+from .cells import SupportKernel
+from .densities import f_of_b
 from .minkowski import validate_dimension
 from .quadrature import QuadratureGrid
 
@@ -253,14 +258,9 @@ class CroftonReport:
         }
 
 
-def _masked_polar_area(poly: HyperbolicPolytope, grid: QuadratureGrid,
-                       mask: np.ndarray) -> float:
-    from .densities import f_of_b
-
-    k = np.tanh(poly.radii)
-    scores = (grid.nodes @ poly.directions.T) * k
-    best = scores.max(axis=1)
-    arg = scores.argmax(axis=1)
+def _masked_polar_area(poly: HyperbolicPolytope, grid: QuadratureGrid, best: np.ndarray,
+                       arg: np.ndarray, mask: np.ndarray) -> float:
+    """Polar-boundary area over the masked nodes, from their best scores and vertices."""
     density = f_of_b(best, poly.m) / np.cosh(poly.radii[arg])
     return math.fsum(grid.weights[mask] * density[mask])
 
@@ -285,10 +285,12 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
     if h_cap is None:
         h_cap = float(max(poly1.radii.max(), poly2.radii.max()) + 0.5)
 
-    h1 = support_fn(poly1, grid.nodes)
-    h2 = support_fn(poly2, grid.nodes)
-    mask = (h1 < h2) if omega == "lower" else np.ones(grid.size, dtype=bool)
-    lhs = _masked_polar_area(poly2, grid, mask) - _masked_polar_area(poly1, grid, mask)
+    (b1, arg1), (b2, arg2) = (
+        SupportKernel(m, p.directions, grid, check_density=False).node_scores(np.tanh(p.radii))
+        for p in (poly1, poly2))
+    mask = (b1 < b2) if omega == "lower" else np.ones(grid.size, dtype=bool)
+    lhs = (_masked_polar_area(poly2, grid, b2, arg2, mask)
+           - _masked_polar_area(poly1, grid, b1, arg1, mask))
 
     samples = sample_geodesics(m, n_samples, h_cap, seed)
     hits1, tan1, lo1, hi1 = _poly_crossings(samples, poly1)

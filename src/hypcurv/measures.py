@@ -10,19 +10,23 @@ support points as the hull of (omega intersect support), and shrinking omega
 to that hull only enlarges the polar, so the minimum slack over subset hulls
 equals the true infimum.
 
-Every check is exact.  m=1 enumerates the arcs between support points.  The
-m=2 check evaluates all 2^N - 1 subsets as bit masks, 2^16 at a time, and is
-refused above EXHAUSTIVE_MAX_ATOMS atoms; there a converged ``solver.solve``
-is the certificate of admissibility.  Each ordered pair with
+Every check is exact.  m=1 enumerates the arcs between support points and
+takes each arc's mass as a difference of cyclic prefix sums, O(N^2) in all.
+The m=2 check evaluates all 2^N - 1 subsets as bit masks, 2^16 at a time,
+and is refused above EXHAUSTIVE_MAX_ATOMS atoms; there a converged
+``solver.solve`` is the certificate of admissibility.  Each ordered pair with
 |p_i x p_j| >= 1e-8 gets c_ij = unit(p_i x p_j), d_ij = atan2(|p_i x p_j|,
 p_i.p_j) and the masks E_ij = {k : c_ij.p_k >= -1e-12}, L_ij = {k : c_ij.p_k
 >= -_CONTAIN_EPS} and Z_ij = {k not in {i, j} : |c_ij.p_k| <= 1e-8}.  (i, j) is
 a hull edge of S when i, j are in S and S lies in E_ij.  The polar of a
 spherical convex polygon has area 2 pi minus its perimeter, the sum of d_ij
 over the edges; the covered points are the AND of L_ij; a subset with no edge
-is the full sphere.  Degenerate subsets (at most 2 points, a pair with
-|p_i x p_j| < 1e-8, or meeting the Z_ij of one of their pairs) go through the
-per-subset hull ``_cone_hull``.  The witness is the first subset in (size,
+is the full sphere.  A single point's polar is a hemisphere, of area 2 pi.
+A pair's two edges give the polar 2 pi - 2 d_ij and cover exactly the pair
+unless a third point lies on its great circle.  Degenerate subsets (a pair
+with |p_i x p_j| < 1e-8 and its supersets, a pair with a nonempty Z_ij, and
+a subset holding a pair and a point of its Z_ij) go through the per-subset
+hull ``_cone_hull``.  The witness is the first subset in (size,
 lexicographic) order whose slack lies within 1e-15 of the minimum.
 """
 
@@ -301,26 +305,25 @@ class ConditionReport:
 
 
 def _alexandrov_m1(mu: DiscreteMeasure):
-    """Exact minimal slack over arcs with endpoints at support points."""
+    """Exact minimal slack over arcs with endpoints at support points.
+
+    Support points are more than 1e-9 apart, beyond ``_CONTAIN_EPS``, so the
+    arc from i to j covers exactly the points from i to j in angular order.
+    The witness is the first arc in (i, j) order within 1e-15 of the minimum.
+    """
     angles = np.arctan2(mu.points[:, 1], mu.points[:, 0]) % (2.0 * np.pi)
-    total = mu.total
-    best = np.inf
-    witness: tuple = ()
-    n = mu.size
-    arcs = 0
-    for i in range(n):
-        for j in range(n):
-            length = (angles[j] - angles[i]) % (2.0 * np.pi)
-            if length >= np.pi:
-                continue
-            arcs += 1
-            rel = (angles - angles[i]) % (2.0 * np.pi)
-            inside = (rel <= length + _CONTAIN_EPS) | (rel >= 2.0 * np.pi - _CONTAIN_EPS)
-            slack = (total - mu.weights[inside].sum()) - (np.pi - length)
-            if slack < best - 1e-15:
-                best = slack
-                witness = tuple(sorted(int(t) for t in np.nonzero(inside)[0]))
-    return best, witness, arcs
+    order = np.argsort(angles)
+    rank = np.empty(mu.size, dtype=int)
+    rank[order] = np.arange(mu.size)
+    prefix = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
+    length = (angles[None, :] - angles[:, None]) % (2.0 * np.pi)
+    first, last = rank[:, None], rank[None, :]
+    mass = prefix[last + 1] - prefix[first] + np.where(first > last, prefix[-1], 0.0)
+    slack = np.where(length < np.pi, (mu.total - mass) - (np.pi - length), np.inf)
+    best = float(slack.min())
+    i, j = divmod(int(np.argmax(slack <= best + 1e-15)), mu.size)
+    span = order[np.arange(rank[i], rank[j] + (rank[j] < rank[i]) * mu.size + 1) % mu.size]
+    return best, tuple(sorted(span.tolist())), int((length < np.pi).sum())
 
 
 def _subset_slack(mu: DiscreteMeasure, subset) -> float:
@@ -337,8 +340,8 @@ def _mask_tuple(mask: int) -> tuple:
     return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def _alexandrov_exhaustive(mu: DiscreteMeasure):
-    """Minimal slack over all 2^N - 1 subset masks (see the module docstring)."""
+def _mask_slacks(mu: DiscreteMeasure, masks: np.ndarray) -> np.ndarray:
+    """Slacks of an int64 array of subset masks (see the module docstring)."""
     pts, n = mu.points, mu.size
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     i, j = np.nonzero(~np.eye(n, dtype=bool))
@@ -358,24 +361,34 @@ def _alexandrov_exhaustive(mu: DiscreteMeasure):
     tables = [byte[:, :len(w)] @ w for w in np.split(mu.weights, range(8, n, 8))]
     total = mu.total
 
+    polar = np.full(len(masks), 2.0 * np.pi)
+    covered = np.full(len(masks), (1 << n) - 1, dtype=np.int64)
+    for p in range(len(i)):
+        edge = ((masks & ~inner[p]) == 0) & ((masks & ends[p]) == ends[p])
+        np.subtract(polar, arc[p], out=polar, where=edge)
+        np.bitwise_and(covered, cover[p], out=covered, where=edge)
+    mass = sum(t[(covered >> (8 * b)) & 255] for b, t in enumerate(tables))
+    slack = np.where(polar < 2.0 * np.pi, (total - mass) - polar, np.inf)  # no edge: full
+    two = masks & (masks - 1)
+    single = two == 0
+    # a point's polar is a hemisphere
+    slack[single] = (total - mu.weights[np.log2(masks[single]).astype(int)]) - 2.0 * np.pi
+    # a pair's two edges cover its great circle: too much with a third point on it
+    degenerate = ~single & ((two & (two - 1)) == 0) & np.isin(masks, ends[pair])
+    for b in bad:
+        degenerate |= (masks & b) == b
+    for k in np.flatnonzero(degenerate):
+        slack[k] = _subset_slack(mu, _mask_tuple(int(masks[k])))
+    return slack
+
+
+def _alexandrov_exhaustive(mu: DiscreteMeasure):
+    """Minimal slack over all 2^N - 1 subset masks (see the module docstring)."""
     best = np.inf
     found: list[tuple[np.ndarray, np.ndarray]] = []
-    for lo in range(1, 1 << n, _BLOCK):
-        masks = np.arange(lo, min(lo + _BLOCK, 1 << n), dtype=np.int64)
-        polar = np.full(len(masks), 2.0 * np.pi)
-        covered = np.full(len(masks), (1 << n) - 1, dtype=np.int64)
-        for p in range(len(i)):
-            edge = ((masks & ~inner[p]) == 0) & ((masks & ends[p]) == ends[p])
-            np.subtract(polar, arc[p], out=polar, where=edge)
-            np.bitwise_and(covered, cover[p], out=covered, where=edge)
-        mass = sum(t[(covered >> (8 * b)) & 255] for b, t in enumerate(tables))
-        slack = np.where(polar < 2.0 * np.pi, (total - mass) - polar, np.inf)  # no edge: full
-        two = masks & (masks - 1)
-        degenerate = (two & (two - 1)) == 0  # at most 2 points
-        for b in bad:
-            degenerate |= (masks & b) == b
-        for k in np.flatnonzero(degenerate):
-            slack[k] = _subset_slack(mu, _mask_tuple(int(masks[k])))
+    for lo in range(1, 1 << mu.size, _BLOCK):
+        masks = np.arange(lo, min(lo + _BLOCK, 1 << mu.size), dtype=np.int64)
+        slack = _mask_slacks(mu, masks)
         low = float(slack.min())
         best = min(best, low)
         near_min = slack <= low + 1e-15

@@ -8,9 +8,10 @@ damped Newton on the residual alpha(psi) - a, which ``from_vertices`` and
 ``curvature_measure_angles`` evaluate exactly, with no grid:
 
 * the start is the ball whose total curvature is the measure's total;
-* the Jacobian comes from central differences.  alpha_i moves only with the
-  vertices that share a facet with vertex i, so columns that no row sees
-  together are perturbed at once (Curtis-Powell-Reid grouping);
+* the Jacobian is ``bodies.exterior_angle_jacobian``, the corner formula
+  differentiated in closed form, times dr/dpsi = sinh r cosh r; weighted by
+  cosh r it is symmetric, the Hessian of the paper's dual functional, whose
+  gradient is cosh(r_i)(a_i - alpha_i);
 * the step is halved until the sup-norm residual strictly falls, and trials
   with some psi_i >= -PSI_FLOOR or an invalid body are rejected.  This damping
   follows Kitagawa, Merigot and Thibert (JEMS 2019).
@@ -33,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import HyperbolicPolytope, curvature_measure_angles, from_vertices
+from .bodies import (HyperbolicPolytope, curvature_measure_angles, exterior_angle_jacobian,
+                     from_vertices)
 from .ctransform import PSI_FLOOR, PotentialVector, kernel_for
 from .densities import G_psi, g_psi
 from .errors import HypcurvError, PreconditionError
@@ -41,9 +43,6 @@ from .measures import (EXHAUSTIVE_MAX_ATOMS, ConditionReport, DiscreteMeasure,
                        check_conditions, mass_violation)
 from .minkowski import sphere_measure
 from .quadrature import QuadratureGrid
-
-# Central-difference step of the Jacobian, in psi.
-FD_STEP = 1e-7
 
 # The line search gives up once the step factor falls below this.
 MIN_DAMPING = 1e-10
@@ -69,10 +68,10 @@ class SolveReport:
 
     ``stop_reason`` is "converged", "max_iter", "damping" (no step factor
     down to MIN_DAMPING lowered the residual, or the Newton system was
-    singular) or "geometry" (the start or a Jacobian evaluation gave no valid
-    body).  ``residual_history`` holds the sup residual max|alpha - a| at
-    the start and after each step, so it has ``iterations + 1`` entries and
-    falls strictly; it is empty when the start is invalid.
+    singular) or "geometry" (the start gave no valid body).
+    ``residual_history`` holds the sup residual max|alpha - a| at the start
+    and after each step, so it has ``iterations + 1`` entries and falls
+    strictly; it is empty when the start is invalid.
     ``condition_report`` is None for m=2 above EXHAUSTIVE_MAX_ATOMS atoms,
     where only the two O(N) conditions are checked and a converged solve
     certifies the measure.
@@ -142,43 +141,13 @@ def _ball_heuristic_psi(mu: DiscreteMeasure) -> float:
 
 def _angles(mu: DiscreteMeasure, psi: np.ndarray):
     """The body with potentials psi and its exterior angles; raises if it is invalid."""
-    if not psi.max() < 0.0:  # a Jacobian bump can cross psi = 0 next to the floor
-        raise ValueError("potentials must be negative")
     body = from_vertices(mu.m, mu.points, np.arctanh(np.exp(psi)))
     return body, curvature_measure_angles(body).weights
 
 
-def _column_groups(body: HyperbolicPolytope) -> tuple[np.ndarray, np.ndarray]:
-    """Facet-neighbourhood mask and a greedy colouring of the Jacobian's columns.
-
-    ``hood[i, j]`` is set when vertices i and j share a facet (or i == j);
-    alpha_i depends on psi_j only there.  Columns j and k may share a colour
-    when no row's neighbourhood holds both.
-    """
-    n = body.n_vertices
-    hood = np.eye(n, dtype=bool)
-    for facet in body.facet_vertices:
-        idx = np.asarray(facet)
-        hood[np.ix_(idx, idx)] = True
-    clash = (hood.T.astype(int) @ hood.astype(int)) > 0
-    colour = np.full(n, -1)
-    for j in range(n):
-        used = set(colour[clash[j]].tolist())
-        colour[j] = next(c for c in range(n) if c not in used)
-    return hood, colour
-
-
-def _jacobian(mu: DiscreteMeasure, psi: np.ndarray, body: HyperbolicPolytope) -> np.ndarray:
-    """d alpha / d psi by grouped central differences; raises on an invalid body."""
-    hood, colour = _column_groups(body)
-    jac = np.zeros((mu.size, mu.size))
-    for c in range(colour.max() + 1):
-        cols = colour == c
-        bump = FD_STEP * cols
-        slope = (_angles(mu, psi + bump)[1] - _angles(mu, psi - bump)[1]) / (2.0 * FD_STEP)
-        # each row sees at most one column of the group
-        jac[:, cols] = np.where(hood[:, cols], slope[:, None], 0.0)
-    return jac
+def _jacobian(body: HyperbolicPolytope) -> np.ndarray:
+    """d alpha / d psi: the closed-form d alpha / d r times dr/dpsi = sinh r cosh r."""
+    return exterior_angle_jacobian(body) * (np.sinh(body.radii) * np.cosh(body.radii))
 
 
 def _newton(mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
@@ -193,11 +162,9 @@ def _newton(mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
         if len(history) > cfg.max_iter:
             return psi, body, alpha, history, "max_iter"
         try:
-            step = np.linalg.solve(_jacobian(mu, psi, body), mu.weights - alpha)
+            step = np.linalg.solve(_jacobian(body), mu.weights - alpha)
         except np.linalg.LinAlgError:
             return psi, body, alpha, history, "damping"
-        except (HypcurvError, ValueError):
-            return psi, body, alpha, history, "geometry"
         damping = 1.0
         while True:
             trial = psi + damping * step

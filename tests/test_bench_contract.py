@@ -5,7 +5,7 @@
 by name and reads fields of ``SolveReport``.  A rename or deletion under
 ``src/`` breaks it without any other test noticing, so one short round of the
 cheapest workload runs here, plain and traced, and one plain round each of
-the m=2 round trips and of the forward checks.
+the m=2 round trips, the admissibility checks and the forward checks.
 """
 
 import json
@@ -38,6 +38,11 @@ def test_roundtrip_m2_runs_and_checks_out():
     # the m=2 round trips are where hull construction and exterior angles
     # take most of the time
     _run_round("roundtrip_m2", "0")
+
+
+def test_admissibility_m2_runs_and_checks_out():
+    # the only tier-1 run of the benchmark's admissibility checks
+    _run_round("admissibility_m2", "0")
 
 
 def test_forward_runs_and_checks_out():

@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 import hypcurv as hc
 from hypcurv.measures import (
+    _CONTAIN_EPS,
     EXHAUSTIVE_MAX_ATOMS,
     DiscreteMeasure,
+    _mask_slacks,
+    _mask_tuple,
+    _subset_slack,
     check_conditions,
     polar_sigma_area,
     spherical_hull,
@@ -287,6 +291,38 @@ def test_alexandrov_agrees_with_brute_force():
         assert brute <= exact + 0.05
 
 
+def arc_loop(mu):
+    """The former m=1 check: one containment mask per arc, O(N^3) in all."""
+    angles = np.arctan2(mu.points[:, 1], mu.points[:, 0]) % (2.0 * np.pi)
+    best, witness, arcs = np.inf, (), 0
+    for i in range(mu.size):
+        for j in range(mu.size):
+            length = (angles[j] - angles[i]) % (2.0 * np.pi)
+            if length >= np.pi:
+                continue
+            arcs += 1
+            rel = (angles - angles[i]) % (2.0 * np.pi)
+            inside = (rel <= length + _CONTAIN_EPS) | (rel >= 2.0 * np.pi - _CONTAIN_EPS)
+            slack = (mu.total - mu.weights[inside].sum()) - (np.pi - length)
+            if slack < best - 1e-15:
+                best, witness = slack, tuple(int(t) for t in np.nonzero(inside)[0])
+    return best, witness, arcs
+
+
+def test_arc_check_matches_the_per_arc_loop():
+    rng = np.random.default_rng(12)
+    cases = [measure_m1(2 * np.pi * np.arange(n) / n, np.full(n, 2.0)) for n in (3, 4, 6, 12)]
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        angles = np.unique(np.round(rng.uniform(0.0, rng.choice([1.0, 3.0, 7.0]), n), 6))
+        cases.append(measure_m1(angles, rng.uniform(0.1, 3.0, len(angles))))
+    for mu in cases:
+        rep = check_conditions(mu)
+        best, witness, arcs = arc_loop(mu)
+        assert rep.alexandrov_slack == pytest.approx(best, abs=1e-12)
+        assert rep.worst_witness == witness and rep.subsets_evaluated == arcs
+
+
 def oracle_slacks(mu):
     """Slack of every subset's hull, one subset at a time, by the public hull API."""
     total = mu.weights.sum()
@@ -341,6 +377,22 @@ def test_exhaustive_matches_per_subset_oracle(name, mu):
         broken = {"total-mass": rep.total_mass_ok, "vertex": rep.vertex_ok,
                   "cluster": rep.alexandrov_ok}
         assert not broken[name.split()[0]]
+
+
+@pytest.mark.parametrize("name, mu", cross_check_measures())
+def test_singletons_and_pairs_match_their_own_hulls(name, mu):
+    # the mask path's shortcuts against the per-subset hull, for every
+    # subset of one or two points
+    masks = np.array([1 << i for i in range(mu.size)]
+                     + [1 << i | 1 << j for i, j in combinations(range(mu.size), 2)],
+                     dtype=np.int64)
+    slacks = _mask_slacks(mu, masks)
+    for mask, slack in zip(masks.tolist(), slacks):
+        expected = _subset_slack(mu, _mask_tuple(mask))
+        if mask & (mask - 1) == 0:
+            assert slack == expected, mask
+        else:
+            assert slack == pytest.approx(expected, abs=1e-14), mask
 
 
 def test_exhaustive_sixteen_atoms():

@@ -4,7 +4,6 @@ import pytest
 import hypcurv as hc
 from hypcurv.measures import EXHAUSTIVE_MAX_ATOMS, DiscreteMeasure
 from hypcurv.solver import (
-    FD_STEP,
     SolverConfig,
     _angles,
     _jacobian,
@@ -202,7 +201,7 @@ def test_large_m2_violators_fail_with_a_stop_reason():
     heavy[0] = 2.0 * np.pi + 0.1
     for bad, reason, condition, margin in (
             (light, "damping", "total mass condition", f"{-0.1 * 4.0 * np.pi:.6g}"),
-            (DiscreteMeasure(2, mu.points, heavy), "geometry", "vertex condition",
+            (DiscreteMeasure(2, mu.points, heavy), "damping", "vertex condition",
              f"{-0.1:.6g}")):
         with pytest.raises(hc.PreconditionError) as info:
             solve(bad)
@@ -249,16 +248,42 @@ def test_angle_route_round_trips(criterion06_bodies, m):
 
 
 @pytest.mark.parametrize("m, sizes", [(1, (4, 7, 12, 20)), (2, (6, 9, 12))])
-def test_grouped_jacobian_matches_dense(m, sizes):
+def test_analytic_jacobian_matches_dense_differences(m, sizes):
     rng = np.random.default_rng(60 + m)
+    step = 1e-7
     for n in sizes:
         body = hc.random_polytope(m, n, rng)
         mu = hc.curvature_measure_angles(body)
         psi = np.log(np.tanh(body.radii))
-        grouped = _jacobian(mu, psi, body)
+        analytic = _jacobian(body)
         dense = np.empty((n, n))
         for j in range(n):
             bump = np.zeros(n)
-            bump[j] = FD_STEP
-            dense[:, j] = (_angles(mu, psi + bump)[1] - _angles(mu, psi - bump)[1]) / (2 * FD_STEP)
-        assert np.abs(grouped - dense).max() <= 1e-6 * np.abs(dense).max(), (m, n)
+            bump[j] = step
+            dense[:, j] = (_angles(mu, psi + bump)[1] - _angles(mu, psi - bump)[1]) / (2 * step)
+        assert np.abs(analytic - dense).max() <= 1e-6 * np.abs(dense).max(), (m, n)
+
+
+@pytest.mark.parametrize("m, sizes", [(1, (4, 9, 30, 200)), (2, (5, 12, 40, 120))])
+def test_weighted_jacobian_is_symmetric_with_positive_definite_part(m, sizes):
+    # diag(cosh r) d alpha / d psi is the Hessian of the dual functional,
+    # whose gradient is cosh(r_i) (a_i - alpha_i)
+    rng = np.random.default_rng(70 + m)
+    for n in sizes:
+        body = hc.random_polytope(m, n, rng)
+        weighted = np.cosh(body.radii)[:, None] * _jacobian(body)
+        assert np.abs(weighted - weighted.T).max() <= 1e-12 * np.abs(weighted).max(), (m, n)
+        assert np.linalg.eigvalsh(0.5 * (weighted + weighted.T)).min() > 0.0, (m, n)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_icosphere_round_trip(level):
+    # 162 and 642 vertices, radii moved off the common value
+    base = hc.icosphere_body(level, 1.0)
+    rng = np.random.default_rng(level)
+    body = hc.from_vertices(2, base.directions,
+                            base.radii * (1.0 + rng.uniform(-0.002, 0.002, base.n_vertices)))
+    rep = solve(hc.curvature_measure_angles(body))
+    assert rep.converged and rep.iterations <= 10
+    assert np.array_equal(rep.body.directions, body.directions)
+    assert np.abs(rep.body.radii - body.radii).max() <= 1e-10 * body.radii.min()
