@@ -2,8 +2,8 @@
 
 Builds a square in the hyperbolic plane and an octahedron in hyperbolic
 3-space, computes the Gauss curvature measure of each by the exterior-angle
-route and by integrating the polar-boundary area density over a quadrature
-grid, and checks the Gauss-Bonnet identity total = 2*pi + area for the
+route and by integrating the polar-boundary area density over each vertex's
+normal cone, and checks the Gauss-Bonnet identity total = 2*pi + area for the
 polygon.
 """
 

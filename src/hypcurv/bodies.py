@@ -11,8 +11,8 @@ The Gauss curvature measure of a polytope is a sum of point masses at the
 vertex directions.  Two independent routes compute it:
 
 * ``curvature_measure_integral`` integrates the polar-boundary area density
-  cosh^{m+1}(h) over the vertex cells of a quadrature grid and divides by
-  cosh(r_i);
+  cosh^{m+1}(h) over the normal cone of each vertex of the Klein hull
+  (``cells.SupportKernel``) and divides by cosh(r_i);
 * ``curvature_measure_angles`` computes the exterior (solid) angle at every
   vertex as m pi minus the sum of its corner angles, all corners at once from
   the directions and radii (``_corner_angles``).
@@ -29,8 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import pdist
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .cells import SupportKernel
 from .errors import DegenerateHullError, NonExtremeVertexError, OriginNotInteriorError
@@ -107,7 +106,7 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
         raise ValueError("radii too large to represent in the Klein ball")
     directions = unit_rows(directions, 1e-8, "directions must be unit vectors")
 
-    if pdist(directions).min() <= 1e-9:
+    if cKDTree(directions).query_pairs(1e-9):
         raise ValueError("vertex directions must be pairwise distinct")
 
     n = directions.shape[0]
@@ -182,15 +181,15 @@ def t_map(poly: HyperbolicPolytope, eta: np.ndarray) -> np.ndarray:
 
 
 def curvature_measure_integral(poly: HyperbolicPolytope, grid: QuadratureGrid):
-    """Curvature weights from the polar-boundary area density on a grid.
+    """Curvature weights from the polar-boundary area density.
 
-    alpha_i integrates cosh^{m+1}(h) over the normal cell of vertex i and
-    divides by cosh(r_i).  Returns a DiscreteMeasure supported on the vertex
-    directions.
+    alpha_i integrates cosh^{m+1}(h) over the normal cone of vertex i
+    (``cells.SupportKernel``) and divides by cosh(r_i); the grid is not read.
+    Returns a DiscreteMeasure supported on the vertex directions.
     """
     from .measures import DiscreteMeasure
 
-    kernel = SupportKernel(poly.m, poly.directions, grid, check_density=False)
+    kernel = SupportKernel(poly.m, poly.directions, grid)
     masses, _ = kernel.cell_sums(np.tanh(poly.radii))
     weights = masses / np.cosh(poly.radii)
     return DiscreteMeasure(poly.m, poly.directions, weights)

@@ -1,29 +1,36 @@
-"""Weighted nearest-support decomposition of spherical grids.
+"""Cell integrals over the normal cones of a weighted support set.
 
 Given support directions xi_i and scale factors s_i in (0, 1), the score of a
-direction eta is b(eta) = max_i s_i * <eta, xi_i>.  The cells of the induced
-decomposition are the regions where one index attains the max.  With
-s = tanh(r) this is the vertex decomposition of a polytope under its normal
-map (b = tanh h); with s = e^psi it is the weighted Voronoi decomposition of
-a discrete potential (phi = -ln b).  One kernel serves both, which keeps the
-forward curvature map and the grid form of the dual problem
-(``solver.dual_objective`` and its gradient) numerically consistent.
+direction eta is b(eta) = max_i s_i * <eta, xi_i>, and cell i is where index i
+attains the max.  With s = tanh(r) this is the vertex decomposition of a
+polytope under its normal map (b = tanh h); with s = e^psi it is the weighted
+Voronoi decomposition of a discrete potential (phi = -ln b).  One kernel
+serves the forward map and the dual problem (``solver.dual_objective``).
 
-b is the support function of the convex hull of the points s_i xi_i, so the
-cells are its normal cones.  For m=1 they are read off one ``ConvexHull``:
-the cell of a hull vertex is the arc between the outward normals of its two
-edges, and a point that is not a hull vertex has an empty cell.  The grid is
-cut at those normals and Simpson's rule is applied to every piece, so m=1
-cell integrals converge at fourth order in the grid spacing.  m=2 cell
-integrals bin grid nodes into cells; a node whose best scores tie within
-``TIE_EPS`` (the rule of ``bodies.t_map`` and ``ctransform.c_transform``)
-splits its weight equally between the tied cells.  Dot products with the
-grid nodes, ``nodes @ points.T`` for both m, are formed in blocks of at most
-``_BLOCK_ENTRIES`` entries and never stored.
+b is the support function of the hull of the points s_i xi_i, so cell i is
+the hull's normal cone at s_i xi_i, empty unless that point is a hull vertex.
+``cell_sums`` builds one ``ConvexHull``.  Two facets t and u that share a
+ridge give each vertex i of the ridge the arc (N_t, N_u) for m=1, or the
+triangle (c_i, N_t, N_u) for m=2, where N are unit facet normals and c_i, the
+normalized sum of the normals at i, lies inside the convex cell.  Simplices
+are halved at their longest edge until twice its chord is at most
+max(sqrt(1 - s_i^2), distance to xi_i), the scale on which
+f = (1 - b^2)^(-(m+1)/2) varies, and for the objective also at most
+min <corner, xi_i>, the distance to where ln b blows up.  Each is mapped
+centrally (eta = P/|P|, d sigma = |det(corners)| / |P|^(m+1)) and integrated
+by 8-point Gauss-Legendre per axis, collapsed onto the triangle for m=2
+(Duffy, SIAM J. Numer. Anal. 1982).  For a polytope the cell masses are
+cosh(r_i) alpha_i to rounding.
+
+The same hull on the unit directions makes the constructor's pi/2-density
+check exact: the least score over the sphere is the least facet support.  The
+grid serves the node-wise methods, in blocks of ``_BLOCK_ENTRIES`` dot products.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -31,38 +38,57 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .densities import F_of_b, f_of_b
 from .errors import UncoveredDirectionError
-from .minkowski import DOT_FLOOR, TIE_EPS, validate_dimension
+from .minkowski import DOT_FLOOR, normalize_rows, validate_dimension
 from .quadrature import QuadratureGrid
 
-# Grid nodes must have a support point within distance pi/2 - DENSITY_MARGIN.
+# Every direction must have a support point within distance pi/2 - DENSITY_MARGIN.
 DENSITY_MARGIN = 1e-6
 
 # Entries of one (grid rows x supports) block of dot products.
 _BLOCK_ENTRIES = 2_000_000
 
 
-class SupportKernel:
-    """Evaluation of cell integrals and scores for one (support set, grid) pair."""
+@functools.cache
+def _simplex_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric nodes and weights of the 8-point Gauss-Legendre rule on the
+    unit m-simplex; for m=2 collapsed by (s, t) = (u (1 - v), u v)."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    if m == 1:
+        return np.column_stack([1.0 - x, x]), w
+    u, v = (a.ravel() for a in np.meshgrid(x, x, indexing="ij"))
+    return np.column_stack([1.0 - u, u * (1.0 - v), u * v]), np.outer(w, w).ravel() * u
 
-    def __init__(self, m: int, points: np.ndarray, grid: QuadratureGrid,
-                 check_density: bool = True):
+
+class SupportKernel:
+    """Cell integrals and grid scores for one (support set, grid) pair."""
+
+    def __init__(self, m: int, points: np.ndarray, grid: QuadratureGrid):
         self.m = validate_dimension(m)
         if grid.m != self.m:
             raise ValueError("grid dimension does not match")
         self.points = np.asarray(points, dtype=float)
         self.n = self.points.shape[0]
         self.grid = grid
-        if self.m == 1:
-            self.node_angles = (2.0 * np.pi / grid.size) * np.arange(grid.size)
-            self.sup_angles = np.arctan2(self.points[:, 1], self.points[:, 0])
-        if check_density:
-            max_dot = np.concatenate([self._dot_block(lo, hi).max(axis=1)
-                                      for lo, hi in self._chunks()])
-            worst = int(np.argmin(max_dot))
-            if max_dot[worst] < np.sin(DENSITY_MARGIN):
-                raise UncoveredDirectionError(grid.nodes[worst])
+        self._hull(np.ones(self.n), np.sin(DENSITY_MARGIN))
 
-    # -- shared helpers -------------------------------------------------
+    def _hull(self, s: np.ndarray, floor: float) -> ConvexHull:
+        """Hull of the points s_i xi_i, whose facet supports must exceed floor.
+
+        Otherwise raises UncoveredDirectionError at the lowest facet's normal,
+        or, when there is no hull, at the grid node with the lowest score.
+        """
+        try:
+            hull = ConvexHull(s[:, None] * self.points)
+        except QhullError:                       # too few points, or flat input
+            best, _ = self.node_scores(s)
+            raise UncoveredDirectionError(self.grid.nodes[int(np.argmin(best))]) from None
+        low = int(np.argmax(hull.equations[:, -1]))     # the least facet support
+        if -hull.equations[low, -1] <= floor:
+            raise UncoveredDirectionError(hull.equations[low, :-1])
+        return hull
+
+    # -- grid scores ----------------------------------------------------
 
     def _chunks(self):
         rows = max(1, _BLOCK_ENTRIES // max(self.n, 1))
@@ -111,75 +137,58 @@ class SupportKernel:
         compensated total of F(phi) over the sphere (None unless requested).
         """
         s = np.asarray(s, dtype=float)
-        if self.m == 1:
-            return self._sweep_m1(s, want_objective)
-        return self._sweep_m2(s, want_objective)
+        if not np.all((s > 0.0) & (s < 1.0)):      # f blows up at b = 1
+            raise ValueError("scale factors must lie in (0, 1)")
+        m = self.m
+        hull = self._hull(s, 0.0)
+        normals = hull.equations[:, :-1]
+        # facet t meets facet u = neighbors[t, k] in its vertices but the k-th
+        t, k = np.nonzero(hull.neighbors > np.arange(len(normals))[:, None])
+        u = hull.neighbors[t, k]
+        owners = np.concatenate([hull.simplices[t, (k + j) % (m + 1)] for j in range(1, m + 1)])
+        corners = np.tile(np.stack([normals[t], normals[u]], axis=1), (m, 1, 1))
+        if m == 2:
+            centre = np.zeros((self.n, 3))
+            np.add.at(centre, hull.simplices, normals[:, None])
+            corners = np.concatenate([normalize_rows(centre[owners])[:, None], corners], axis=1)
+        corners, owners = self._refined(corners, owners, s, want_objective)
+
+        nodes, weights = _simplex_rule(m)
+        p = nodes @ corners                                     # (simplex, node, m+1)
+        norm = np.sqrt((p * p).sum(axis=2))
+        jac = np.abs(np.linalg.det(corners))[:, None] * weights / norm ** (m + 1)
+        b = (p @ (s[owners, None] * self.points[owners])[:, :, None])[..., 0] / norm
+        masses = np.bincount(owners, weights=(jac * f_of_b(b, m)).sum(axis=1),
+                             minlength=self.n)
+        objective = math.fsum((jac * F_of_b(b, m)).ravel()) if want_objective else None
+        return masses, objective
+
+    def _refined(self, corners: np.ndarray, owners: np.ndarray, s: np.ndarray,
+                 objective: bool):
+        """Simplices halved until they resolve their density; the distance to
+        xi_i is read as the least chord from a corner to xi_i."""
+        pairs = np.array(list(itertools.combinations(range(self.m + 1), 2)))
+        done = []
+        while len(owners):
+            chords = np.linalg.norm(corners[:, pairs[:, 0]] - corners[:, pairs[:, 1]], axis=2)
+            longest = chords.argmax(axis=1)
+            xi = self.points[owners, None]
+            near = np.linalg.norm(corners - xi, axis=2).min(axis=1)
+            scale = np.maximum(np.sqrt(1.0 - s[owners] ** 2), near)
+            if objective:
+                scale = np.minimum(scale, (corners * xi).sum(axis=2).min(axis=1))
+            split = 2.0 * chords.max(axis=1) > scale
+            done.append((corners[~split], owners[~split]))
+            corners, owners = corners[split], owners[split]
+            ends = pairs[longest[split]]
+            rows = np.arange(len(owners))
+            mid = normalize_rows(corners[rows, ends[:, 0]] + corners[rows, ends[:, 1]])
+            first, second = corners.copy(), corners.copy()
+            first[rows, ends[:, 0]] = second[rows, ends[:, 1]] = mid
+            corners, owners = np.concatenate([first, second]), np.tile(owners, 2)
+        kept, kept_owners = zip(*done)
+        return np.concatenate(kept), np.concatenate(kept_owners)
 
     def solver_sweep(self, s: np.ndarray, want_objective: bool):
         """``cell_sums`` plus a None slot; kept for tracers that wrap it by name."""
         return (*self.cell_sums(s, want_objective), None)
-
-    def _sweep_m2(self, s, want_objective):
-        masses = np.zeros(self.n)
-        objective_terms = [] if want_objective else None
-        w = self.grid.weights
-        for lo, hi in self._chunks():
-            scores = self._dot_block(lo, hi) * s
-            best = scores.max(axis=1)
-            if best.min() <= 0.0:
-                bad = lo + int(np.argmin(best))
-                raise UncoveredDirectionError(self.grid.nodes[bad])
-            contrib = w[lo:hi] * f_of_b(best, self.m)
-            row, col = np.nonzero(scores >= (best * (1.0 - TIE_EPS))[:, None])
-            share = contrib / np.bincount(row, minlength=hi - lo)
-            masses += np.bincount(col, weights=share[row], minlength=self.n)
-            if want_objective:
-                objective_terms.append(w[lo:hi] * F_of_b(best, self.m))
-        objective = None
-        if want_objective:
-            objective = math.fsum(np.concatenate(objective_terms))
-        return masses, objective
-
-    def _sweep_m1(self, s, want_objective):
-        pts = s[:, None] * self.points
-        try:
-            ring = ConvexHull(pts).vertices          # counterclockwise
-        except QhullError:                           # fewer than 3 points, or collinear
-            ring = np.zeros(0, dtype=int)
-        tail, head = pts[ring], pts[np.roll(ring, -1)]
-        # edge k runs from ring[k] to ring[k+1]; the origin lies strictly
-        # inside exactly when every edge turns counterclockwise about it
-        if len(ring) < 3 or (tail[:, 0] * head[:, 1] - tail[:, 1] * head[:, 0]).min() <= 0.0:
-            raise UncoveredDirectionError(self._widest_gap_direction())
-        edge = head - tail
-        # the cell of ring[k] starts at the outward normal of edge k-1
-        starts = np.roll(np.arctan2(-edge[:, 0], edge[:, 1]) % (2.0 * np.pi), 1)
-        order = np.argsort(starts)
-        starts, owners = starts[order], ring[order]
-        lo = np.sort(np.concatenate([self.node_angles, starts]))
-        hi = np.append(lo[1:], 2.0 * np.pi)
-        mid = 0.5 * (lo + hi)
-        idx = owners[np.searchsorted(starts, mid, side="right") - 1]
-        theta = np.stack([lo, mid, hi])
-        vals = np.minimum(s[idx] * np.cos(theta - self.sup_angles[idx]), 1.0 - 1e-16)
-        coeff = (hi - lo) / 6.0
-        fv = f_of_b(vals, 1)
-        masses = np.bincount(idx, weights=coeff * (fv[0] + 4.0 * fv[1] + fv[2]),
-                             minlength=self.n)
-        objective = None
-        if want_objective:
-            Fv = F_of_b(vals, 1)
-            objective = math.fsum(coeff * (Fv[0] + 4.0 * Fv[1] + Fv[2]))
-        return masses, objective
-
-    def _widest_gap_direction(self) -> np.ndarray:
-        """Middle of the widest gap between support angles.
-
-        When the origin is not strictly inside the hull, the support lies in
-        a closed half-plane, the gap is at least pi and b <= 0 here.
-        """
-        angles = np.sort(self.sup_angles)
-        gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-        k = int(np.argmax(gaps))
-        mid = angles[k] + 0.5 * gaps[k]
-        return np.array([np.cos(mid), np.sin(mid)])

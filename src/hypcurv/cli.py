@@ -52,9 +52,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _grid_for(args, m: int):
-    level = args.grid_level if args.grid_level is not None else DEFAULT_GRID_LEVEL
-    return build_grid(m, level)
+def _cell_grid(m: int):
+    # the cell integrals do not read the grid, so the coarsest one serves
+    return build_grid(m, 0)
 
 
 def _cmd_check(args) -> int:
@@ -90,8 +90,7 @@ def _forward_payload(poly, grid) -> tuple[dict, DiscreteMeasure]:
 
 def _cmd_forward(args) -> int:
     poly = hio.load_body(args.body)
-    grid = _grid_for(args, poly.m)
-    payload, integral = _forward_payload(poly, grid)
+    payload, integral = _forward_payload(poly, _cell_grid(poly.m))
     out = _out_dir(args)
     hio.save_report(payload, out / "forward_report.json")
     hio.save_measure(integral, out / "curvature_measure.json")
@@ -149,8 +148,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     poly = hio.load_body(args.body)
-    grid = _grid_for(args, poly.m)
-    mu = curvature_measure_integral(poly, grid)
+    mu = curvature_measure_integral(poly, _cell_grid(poly.m))
     report = solve(mu, _solve_config(args), force=args.force)
     rows = []
     max_rel = np.inf
@@ -177,7 +175,7 @@ def _cmd_roundtrip(args) -> int:
 def _cmd_crofton(args) -> int:
     poly1 = hio.load_body(args.body1)
     poly2 = hio.load_body(args.body2)
-    grid = _grid_for(args, poly1.m)
+    grid = build_grid(poly1.m, args.grid_level)
     report = crofton_compare(poly1, poly2, grid, n_samples=args.samples,
                              h_cap=args.h_cap, seed=args.seed)
     out = _out_dir(args)
@@ -233,10 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, solveish=False, grid=True, seed=False):
-        if grid:
-            p.add_argument("--grid-level", type=int, default=None,
-                           help=f"quadrature refinement level (default {DEFAULT_GRID_LEVEL})")
+    def common(p, solveish=False, seed=False):
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None, help="output directory")
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure")
     p.add_argument("--svg", action="store_true")
     p.add_argument("--obj", action="store_true")
-    common(p, solveish=True, grid=False)
+    common(p, solveish=True)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("roundtrip", help="forward then solve; report radius errors")
@@ -280,6 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("body2")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--h-cap", type=float, default=None)
+    p.add_argument("--grid-level", type=int, default=DEFAULT_GRID_LEVEL,
+                   help="quadrature refinement level of the area side "
+                        f"(default {DEFAULT_GRID_LEVEL})")
     common(p, seed=True)
     p.set_defaults(func=_cmd_crofton)
 

@@ -286,7 +286,7 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
         h_cap = float(max(poly1.radii.max(), poly2.radii.max()) + 0.5)
 
     (b1, arg1), (b2, arg2) = (
-        SupportKernel(m, p.directions, grid, check_density=False).node_scores(np.tanh(p.radii))
+        SupportKernel(m, p.directions, grid).node_scores(np.tanh(p.radii))
         for p in (poly1, poly2))
     mask = (b1 < b2) if omega == "lower" else np.ones(grid.size, dtype=bool)
     lhs = (_masked_polar_area(poly2, grid, b2, arg2, mask)

@@ -3,7 +3,7 @@
 A potential assigns a negative value psi_i to each support point xi_i.  Its
 conjugate is phi(eta) = min_i (c(eta, xi_i) - psi_i) with the cost
 c = -ln<eta, xi>; the minimizing indices are the weighted Voronoi memberships
-that the grid oracles of ``solver`` integrate over.  Potentials are stored
+that the dual oracles of ``solver`` integrate over.  Potentials are stored
 only on the support; phi is always evaluated on demand, never cached as a
 grid array, which avoids stale potential/conjugate pairs.
 """
@@ -122,8 +122,6 @@ class ConjugacyDiagnostics:
 
 def _conjugate_at(targets: np.ndarray, nodes: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Conjugate of a grid potential evaluated at target directions."""
-    from .minkowski import DOT_FLOOR
-
     out = np.empty(len(targets))
     for row, zeta in enumerate(targets):
         dots = nodes @ zeta

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial import cKDTree
 
 from .minkowski import sphere_measure, unit_rows, validate_dimension
 
@@ -84,7 +84,7 @@ class DiscreteMeasure:
         points = unit_rows(points, 1e-8, "support points must be unit vectors")
         if not np.all(np.isfinite(weights)) or weights.min() <= 0:
             raise ValueError("weights must be positive and finite")
-        if points.shape[0] > 1 and pdist(points).min() <= 1e-9:
+        if cKDTree(points).query_pairs(1e-9):
             raise ValueError("support points must be pairwise more than 1e-9 apart")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights.copy())

@@ -43,12 +43,6 @@ class QuadratureGrid:
     def key(self) -> tuple:
         return (self.m, self.level)
 
-    def angles(self) -> np.ndarray:
-        """Node angles in [0, 2*pi) for m=1 grids."""
-        if self.m != 1:
-            raise ValueError("angles are only defined for m=1 grids")
-        return np.arctan2(self.nodes[:, 1], self.nodes[:, 0]) % (2.0 * np.pi)
-
     def edges(self) -> np.ndarray:
         """Unique node-index pairs joined by a grid edge."""
         if self.m == 1:

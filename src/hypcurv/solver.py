@@ -16,12 +16,13 @@ damped Newton on the residual alpha(psi) - a, which ``from_vertices`` and
   with some psi_i >= -PSI_FLOOR or an invalid body are rejected.  This damping
   follows Kitagawa, Merigot and Thibert (JEMS 2019).
 
-The grid dual objective
+The dual objective
 
     K(psi) = integral F(phi_psi) d(sigma) + sum_i a_i G(psi_i),
 
 its gradient (component i: a_i g(psi_i) minus the mass of cell i) and the
-per-cell transport residuals stay as oracles independent of the solve.  Cell
+per-cell transport residuals stay as oracles independent of the solve, exact
+over the cells (``cells``); their grid argument only keys the kernel.  Cell
 i's mass is cosh(r_i) alpha_i, and g(psi_i) = cosh(r_i), so the gradient
 vanishes exactly where alpha = a.
 """

@@ -4,8 +4,9 @@
 ``ctransform.kernel_for``, the ``SupportKernel`` methods and other entry points
 by name and reads fields of ``SolveReport``.  A rename or deletion under
 ``src/`` breaks it without any other test noticing, so one short round of the
-cheapest workload runs here, plain and traced, and one plain round each of
-the m=2 round trips, the admissibility checks and the forward checks.
+cheapest workload runs here, plain and traced, one plain round each of the
+m=2 round trips and the admissibility checks, and the forward checks plain
+and traced.
 """
 
 import json
@@ -48,3 +49,8 @@ def test_admissibility_m2_runs_and_checks_out():
 def test_forward_runs_and_checks_out():
     # the only tier-1 run of the benchmark's forward and Crofton checks
     _run_round("forward", "0")
+
+
+def test_forward_runs_traced_and_checks_out():
+    # the only traced workload that builds kernels and sums their cells
+    _run_round("forward", "1")

@@ -166,13 +166,23 @@ class TestCurvatureMeasures:
         assert np.abs(a - b).max() < 2e-2 * b.max()
 
     def test_grid_route_keeps_icosahedral_symmetry(self, grid_m2):
-        # grid nodes tied between cells split their weight equally; handing
-        # each tie to the lowest index spreads these classes by 1e-3 and more
+        # the cells are integrated over their normal cones, so vertices that
+        # a symmetry of the body exchanges carry the same mass to rounding
         body = hc.icosphere_body(1, 1.0)
         weights = curvature_measure_integral(body, grid_m2).weights
         icosahedral, others = weights[:12], weights[12:]  # valence 5 and 6
         assert np.ptp(icosahedral) <= 1e-12
         assert np.ptp(others) <= 1e-12
+
+    def test_cone_route_matches_angles_m2(self, grid_m2):
+        # criterion 04's 50 random bodies and two icosphere bodies
+        rng = np.random.default_rng(4048)
+        bodies = [random_polytope(2, int(rng.integers(6, 11)), rng) for _ in range(50)]
+        bodies += [hc.icosphere_body(level, 1.0) for level in (2, 3)]
+        for body in bodies:
+            a = curvature_measure_integral(body, grid_m2).weights
+            b = curvature_measure_angles(body).weights
+            assert np.abs(a / b - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 8, 64, 256, 1024, 4096])
     def test_regular_polygon_closed_form(self, n):
@@ -185,9 +195,9 @@ class TestCurvatureMeasures:
     @pytest.mark.parametrize("n", [3, 64, 1024, 8192])
     def test_regular_polygon_grid_masses_closed_form(self, n, grid_m1):
         # the cell of a regular polygon vertex carries 2/c atan(tan(pi/n)/c),
-        # c = sech r; at n = 8192 a cell is narrower than a grid step
+        # c = sech r; at n = 8192 a cell is narrower than a level-6 grid step
         dirs = dirs_from_angles(2.0 * np.pi * np.arange(n) / n)
-        kernel = SupportKernel(1, dirs, grid_m1, check_density=False)
+        kernel = SupportKernel(1, dirs, grid_m1)
         for r in (0.01, 0.5, 1.0, 3.0):
             masses, _ = kernel.cell_sums(np.full(n, np.tanh(r)))
             c = 1.0 / np.cosh(r)

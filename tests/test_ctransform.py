@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hypcurv as hc
-from hypcurv.cells import SupportKernel
+from hypcurv.cells import DENSITY_MARGIN, SupportKernel
 from hypcurv.ctransform import (
     PotentialVector,
     c_transform,
@@ -12,6 +12,7 @@ from hypcurv.ctransform import (
     double_convexify,
     grid_conjugate,
 )
+from hypcurv.minkowski import normalize_rows
 
 
 def dirs_from_angles(angles):
@@ -161,13 +162,45 @@ def test_uncovered_direction_error():
         c_transform(psi, np.array([-1.0, 0.0]))
     with pytest.raises(hc.UncoveredDirectionError):
         grid_conjugate(psi, hc.build_grid(1, 2))
-    # the m=1 sweep refuses a hull that does not hold the origin strictly,
-    # degenerate ones included, and names a direction with b <= 0
+    # the kernel refuses a support whose hull does not hold the origin
+    # strictly, degenerate ones included, and names a direction with b <= 0
     for points in (support, support[:2]):
-        kern = SupportKernel(1, points, hc.build_grid(1, 2), check_density=False)
         with pytest.raises(hc.UncoveredDirectionError) as err:
-            kern.cell_sums(np.full(len(points), 0.5))
+            SupportKernel(1, points, hc.build_grid(1, 2))
         assert (points @ err.value.direction).max() <= 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_half_space_support_raises_between_grid_nodes(m):
+    # the support lies in a closed half-space whose pole falls between grid
+    # nodes, so every node still sees a positive score
+    if m == 1:
+        grid = hc.build_grid(1, 2)
+        span = np.pi - 1e-4
+        pole = 7.5 * 2.0 * np.pi / grid.size       # midway between two nodes
+        start = pole + np.pi - 0.5 * span
+        points = dirs_from_angles(start + np.array([0.0, 0.5, 1.0]) * span)
+    else:
+        grid = hc.build_grid(2, 6)
+        pole = normalize_rows(grid.nodes[grid.triangles[0]].sum(axis=0))
+        side = normalize_rows(np.cross(pole, [1.0, 0.0, 0.0]))
+        turn = 2.0 * np.pi * np.arange(8) / 8
+        ring = np.cos(1e-5) * (np.outer(np.cos(turn), side)
+                               + np.outer(np.sin(turn), np.cross(pole, side)))
+        points = np.vstack([ring - np.sin(1e-5) * pole, -pole])
+    assert (grid.nodes @ points.T).max(axis=1).min() > np.sin(DENSITY_MARGIN)
+    with pytest.raises(hc.UncoveredDirectionError) as err:
+        SupportKernel(m, points, grid)
+    assert (points @ err.value.direction).max() <= 0.0
+
+
+def test_cell_sums_rejects_scale_factors_outside_the_unit_interval():
+    # at s = 1 the density is infinite at the support point, and halving
+    # toward it would never end
+    kern = SupportKernel(1, dirs_from_angles([0.0, 2.0, 4.0]), hc.build_grid(1, 2))
+    for s in (1.0, 0.0):
+        with pytest.raises(ValueError):
+            kern.cell_sums(np.full(3, s))
 
 
 def test_values_near_zero_clamped(caplog):

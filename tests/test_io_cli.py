@@ -173,7 +173,7 @@ class TestCli:
     def test_obj_emission_m2(self, fixture_dir, workdir):
         out = workdir / "fwd2"
         code = main(["forward", str(fixture_dir / "body_octahedron_m2.json"),
-                     "--out", str(out), "--obj", "--grid-level", "4"])
+                     "--out", str(out), "--obj"])
         assert code == 0
         assert (out / "body.obj").exists()
 

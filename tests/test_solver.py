@@ -41,6 +41,25 @@ def test_gradient_matches_finite_differences(grid_m1):
             assert fd == pytest.approx(grad[i], rel=1e-5, abs=1e-9)
 
 
+def test_gradient_matches_finite_differences_m2(grid_m2):
+    # the m=2 twin of acceptance criterion 07
+    rng = np.random.default_rng(77)
+    step = 1e-5
+    worst = 0.0
+    for _ in range(10):
+        poly = hc.random_polytope(2, int(rng.integers(6, 11)), rng)
+        mu = hc.curvature_measure_integral(poly, grid_m2)
+        psi = np.log(np.tanh(poly.radii)) + rng.uniform(-0.15, 0.1, size=mu.size)
+        grad = dual_gradient(psi, mu, grid_m2)
+        for i in range(mu.size):
+            bump = np.zeros(mu.size)
+            bump[i] = step
+            fd = (dual_objective(psi + bump, mu, grid_m2)
+                  - dual_objective(psi - bump, mu, grid_m2)) / (2 * step)
+            worst = max(worst, abs(fd - grad[i]) / max(abs(grad[i]), 1e-4))
+    assert worst <= 1e-5
+
+
 def test_symmetric_configuration_symmetry(grid_m1):
     # rotated cells evaluate cosines at translated angles, so equality holds
     # to rounding rather than bit-for-bit
