@@ -44,8 +44,9 @@ from .quadrature import QuadratureGrid
 # Every direction must have a support point within distance pi/2 - DENSITY_MARGIN.
 DENSITY_MARGIN = 1e-6
 
-# Entries of one (grid rows x supports) block of dot products.
-_BLOCK_ENTRIES = 2_000_000
+# Entries of one (rows x columns) block of dot products: 2 MB, so that a
+# block and its scores stay small next to the rest of a Crofton comparison.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @functools.cache

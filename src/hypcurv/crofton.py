@@ -19,12 +19,14 @@ two-dimensional cone test: in the variables u = (cos s, sin s) the sign of
 t(s) - h(eta(s)) is the minimum of N linear forms, so the region above the
 polar boundary is an arc whose endpoints are the crossing parameters.  The
 basepoint lies inside the body, so a hitting arc never wraps and its ends
-come from the smallest and largest form angle, accumulated one vertex at a
-time over all samples.  Restricted to omega = {h1 < h2}, a crossing of body
-1 counts where gamma is below body 2's boundary, and one of body 2 where it
-is above body 1's: membership in the other body's arc, with no evaluation
-of either support function.  A partition-and-bisection fallback handles
-arbitrary support callables.
+come from the smallest and largest form angle.  For m=1 these belong to the
+two tangent vertices from the foot point's Klein point, found by a bisection
+over the polygon's edges in O(log n) per geodesic; m=2 (and polygons of a
+few vertices) sweep every vertex over all samples.  Restricted to
+omega = {h1 < h2}, a crossing of body 1 counts where gamma is below body 2's
+boundary, and one of body 2 where it is above body 1's: membership in the
+other body's arc, with no evaluation of either support function.  A
+partition-and-bisection fallback handles arbitrary support callables.
 
 The area side integrates f(b) / cosh(r_i) over the grid nodes, with b = tanh h
 each node's best score from ``cells.SupportKernel``, formed block by block.
@@ -40,7 +42,7 @@ import numpy as np
 from .bodies import HyperbolicPolytope
 from .cells import SupportKernel
 from .densities import f_of_b
-from .minkowski import validate_dimension
+from .minkowski import hyperbolic_point, validate_dimension
 from .quadrature import QuadratureGrid
 
 # a span within this of pi, or a lower-omega crossing within this of an end
@@ -52,6 +54,13 @@ _N_PARTITION = 2048
 
 # allowance for the grid quadrature of the area difference in the agreement flag
 _QUADRATURE_TOL = 1e-3
+
+# m=1 polygons with at least this many vertices take the tangent search; at
+# 100k samples the two routes cost the same at 8 vertices (about 12 ms each)
+_SEARCH_MIN_VERTICES = 8
+
+# samples per block of the tangent search, which bounds its temporaries
+_BLOCK = 1 << 14
 
 _CROFTON_FACTOR = {1: 0.5, 2: 1.0 / np.pi}  # m / |S^{m-1}|
 
@@ -68,8 +77,6 @@ class GeodesicSample:
     @property
     def p(self) -> np.ndarray:
         """Dual foot point in hyperbolic space."""
-        from .minkowski import hyperbolic_point
-
         return hyperbolic_point(self.xi_a, self.h_a)
 
     def point(self, s) -> np.ndarray:
@@ -151,10 +158,28 @@ def _poly_crossings(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     boundary where every form is positive on u = (cos s, sin s).  The
     basepoint's form (sinh h_a, 0) is a positive combination of these, so a
     set of form angles phi_i spanning less than pi contains phi = 0 and does
-    not wrap: its ends are min phi_i and max phi_i, taken one vertex at a
-    time, and the above-arc [max phi_i - pi/2, min phi_i + pi/2] lies in
-    [-pi/2, pi/2].
+    not wrap: its ends are min phi_i and max phi_i, and the above-arc
+    [max phi_i - pi/2, min phi_i + pi/2] lies in [-pi/2, pi/2].  For m=1
+    polygons of ``_SEARCH_MIN_VERTICES`` or more vertices the two extreme
+    vertices come from a tangent search (``_form_extremes_search``);
+    otherwise every vertex is swept (``_form_extremes_sweep``).
     """
+    if poly.m == 1 and poly.n_vertices >= _SEARCH_MIN_VERTICES:
+        lo_phi, hi_phi = _form_extremes_search(samples, poly)
+    else:
+        lo_phi, hi_phi = _form_extremes_sweep(samples, poly)
+    return _arcs(lo_phi, hi_phi)
+
+
+def _arcs(lo_phi: np.ndarray, hi_phi: np.ndarray):
+    span = hi_phi - lo_phi
+    tangent = np.abs(span - np.pi) < _TANGENT_TOL
+    hits = span < np.pi
+    return hits, tangent, hi_phi - 0.5 * np.pi, lo_phi + 0.5 * np.pi
+
+
+def _form_extremes_sweep(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
+    """min phi_i and max phi_i per sample, one vertex at a time over all samples."""
     ch, sh = np.cosh(samples.h_a), np.sinh(samples.h_a)
     lo_phi = np.full(len(samples), np.inf)
     hi_phi = np.full(len(samples), -np.inf)
@@ -162,10 +187,112 @@ def _poly_crossings(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
         phi = np.arctan2(-k * (samples.xi_b @ xi), sh - k * ch * (samples.xi_a @ xi))
         np.minimum(lo_phi, phi, out=lo_phi)
         np.maximum(hi_phi, phi, out=hi_phi)
-    span = hi_phi - lo_phi
-    tangent = np.abs(span - np.pi) < _TANGENT_TOL
-    hits = span < np.pi
-    return hits, tangent, hi_phi - 0.5 * np.pi, lo_phi + 0.5 * np.pi
+    return lo_phi, hi_phi
+
+
+def _polar_locator(polar: np.ndarray):
+    """theta -> searchsorted(polar, theta, side="right") - 1 on [-pi, pi], by buckets.
+
+    ``polar`` is ascending.  Over 4n equal buckets a table holds, for each
+    bucket, the last angle at or below the start of the bucket before it,
+    which never passes the answer however theta's bucket index rounds.
+    Forward steps finish each query; they cross at most two buckets' angles.
+    """
+    n_buckets = 4 * len(polar)
+    scale = n_buckets / (2.0 * np.pi)
+    starts = (np.arange(n_buckets + 1) - 1) / scale - np.pi
+    table = np.searchsorted(polar, starts, side="right") - 1
+    upper = np.append(polar, np.inf)
+
+    def locate(theta: np.ndarray) -> np.ndarray:
+        j = table[((theta + np.pi) * scale).astype(np.intp)]
+        while True:
+            step = upper[j + 1] <= theta
+            if not step.any():
+                return j
+            j += step
+
+    return locate
+
+
+def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
+    """min phi_i and max phi_i per sample of an m=1 sample set, by tangent search.
+
+    With p_i = k_i xi_i and q = tanh(h_a) xi_a the Klein points of vertex i
+    and of the foot point, vertex i's form is M (q - p_i), where M has rows
+    cosh(h_a) xi_a and xi_b and det M = +-cosh h_a.  So the form angles are
+    ordered as the directions q - p_i, and for q outside the polygon the
+    extremes are the two tangent vertices from q: the ends of the chain of
+    edges visible from q (<n_e, q> > h_e).  The ray through q crosses edge
+    j0, found on the vertex polar angles.  If j0 is visible, each side of the
+    chain is bisected, bounded by the edge that the ray through -q crosses,
+    which is never visible.  Otherwise q is inside, and the extremes are the
+    two vertices of j0, on either side of the arctan2 cut at -q; where one of
+    them ties with the cut, the span comes out below pi and the vertices
+    beyond j0 are evaluated too.  phi is the sweep's arctan2 form,
+    evaluated only at these vertices, block by block.
+    """
+    ring = poly.order
+    corner = poly.klein_vertices[ring]
+    polar = np.arctan2(corner[:, 1], corner[:, 0])
+    shift = -int(np.argmin(polar))
+    ring, corner, polar = (np.roll(a, shift, axis=0) for a in (ring, corner, polar))
+    n = len(ring)
+    locate = _polar_locator(polar)
+    edge = np.roll(corner, -1, axis=0) - corner
+    normal = np.column_stack([edge[:, 1], -edge[:, 0]])
+    # edge j (from vertex j to j + 1) is visible from q iff <dual_j, q> > 1.
+    # Ring arrays are tiled three times and edge j0 sits at j0 + n: the chain
+    # stops short of the edge the ray through -q crosses on both sides, so it
+    # and the vertices just beyond its ends index them without a modulo.
+    dual = normal / np.sum(normal * corner, axis=1)[:, None]
+    dual_x, dual_y = (np.tile(dual[:, c], 3) for c in (0, 1))
+    xi_x, xi_y = (np.tile(poly.directions[ring, c], 3) for c in (0, 1))
+    k = np.tile(np.tanh(poly.radii)[ring], 3)
+    steps = [1 << s for s in reversed(range((n - 1).bit_length()))]
+
+    def phi_at(vertex, xa, xb, ch, sh):
+        kv = k[vertex]
+        dot_a = xa[:, 0] * xi_x[vertex] + xa[:, 1] * xi_y[vertex]
+        dot_b = xb[:, 0] * xi_x[vertex] + xb[:, 1] * xi_y[vertex]
+        return np.arctan2(-kv * dot_b, sh - kv * ch * dot_a)
+
+    lo_phi = np.empty(len(samples))
+    hi_phi = np.empty(len(samples))
+    for row in range(0, len(samples), _BLOCK):
+        rows = slice(row, row + _BLOCK)
+        xa, xb, h_a = samples.xi_a[rows], samples.xi_b[rows], samples.h_a[rows]
+        theta = np.arctan2(xa[:, 1], xa[:, 0])
+        t = np.tanh(h_a)
+        qx, qy = t * xa[:, 0], t * xa[:, 1]
+        first = locate(theta) + n
+        last = first.copy()
+        outside = dual_x[first] * qx + dual_y[first] * qy > 1.0
+        out = np.flatnonzero(outside)
+        if out.size:
+            base, qx, qy = first[out], qx[out], qy[out]
+            # steps counterclockwise from j0 to the edge the ray through -q crosses
+            to_bound = (locate(theta[out] - np.copysign(np.pi, theta[out])) + n - base) % n
+            for ends, sign, limit in ((last, 1, base + to_bound), (first, -1, base + to_bound - n)):
+                end = base.copy()
+                for step in steps:
+                    cand = (np.minimum(end + step, limit) if sign > 0
+                            else np.maximum(end - step, limit))
+                    end += (sign * step) * (dual_x[cand] * qx + dual_y[cand] * qy > 1.0)
+                ends[out] = end
+        # the chain [first, last] of edges ends at vertices first and last + 1
+        ch, sh = np.cosh(h_a), np.sinh(h_a)
+        lo, hi = lo_phi[rows], hi_phi[rows]
+        phi_first = phi_at(first, xa, xb, ch, sh)
+        phi_last = phi_at(last + 1, xa, xb, ch, sh)
+        np.minimum(phi_first, phi_last, out=lo)
+        np.maximum(phi_first, phi_last, out=hi)
+        tie = np.flatnonzero(~outside & (hi - lo < np.pi))
+        for vertex in (first[tie] - 1, last[tie] + 2):
+            phi = phi_at(vertex, xa[tie], xb[tie], ch[tie], sh[tie])
+            lo[tie] = np.minimum(lo[tie], phi)
+            hi[tie] = np.maximum(hi[tie], phi)
+    return lo_phi, hi_phi
 
 
 def count_intersections(gamma: GeodesicSample, body, omega=None) -> tuple[int, bool]:
@@ -323,7 +450,7 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
     rhs = factor * mean
     stderr = factor * float(diff.std(ddof=1)) / np.sqrt(n_used)
     agree = abs(lhs - rhs) <= 3.0 * stderr + _QUADRATURE_TOL
-    vals, counts = np.unique(diff, return_counts=True)
+    vals, freqs = np.unique(diff, return_counts=True)
     return CroftonReport(
         lhs=float(lhs),
         rhs=float(rhs),
@@ -333,6 +460,6 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
         h_cap=float(h_cap),
         agree=bool(agree),
         mean_diff=mean,
-        diff_counts={int(v): int(c) for v, c in zip(vals, counts)},
+        diff_counts={int(v): int(c) for v, c in zip(vals, freqs)},
         omega=omega,
     )

@@ -48,10 +48,12 @@ class QuadratureGrid:
         if self.m == 1:
             k = self.size
             return np.column_stack([np.arange(k), (np.arange(k) + 1) % k])
-        pairs = np.concatenate(
+        pairs = np.sort(np.concatenate(
             [self.triangles[:, [0, 1]], self.triangles[:, [1, 2]], self.triangles[:, [2, 0]]]
-        )
-        return np.unique(np.sort(pairs, axis=1), axis=0)
+        ), axis=1)
+        # the key a * size + b orders pairs as their rows do, so a 1-d unique suffices
+        keys = np.unique(pairs[:, 0] * self.size + pairs[:, 1])
+        return np.column_stack(np.divmod(keys, self.size))
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,10 @@ import pytest
 import hypcurv as hc
 from hypcurv.crofton import (
     GeodesicSample,
+    GeodesicSampleSet,
+    _arcs,
+    _form_extremes_search,
+    _form_extremes_sweep,
     count_intersections,
     crofton_compare,
     sample_geodesics,
@@ -173,3 +177,114 @@ def test_report_roundtrips_to_dict(grid_m1):
     rep = crofton_compare(b1, b2, grid_m1, n_samples=1000, seed=0)
     d = rep.to_dict()
     assert set(d) >= {"lhs", "rhs", "stderr", "agree", "samples_used"}
+
+
+# -- m=1 tangent search against the vertex sweep ------------------------------
+
+
+def _search_and_sweep(samples, poly):
+    return (_arcs(*_form_extremes_search(samples, poly)),
+            _arcs(*_form_extremes_sweep(samples, poly)))
+
+
+def _assert_search_matches_sweep(samples, poly):
+    (hits, tangent, lo, hi), (o_hits, o_tangent, o_lo, o_hi) = _search_and_sweep(samples, poly)
+    assert np.array_equal(hits, o_hits)
+    assert np.array_equal(tangent, o_tangent)
+    assert np.abs(lo - o_lo)[hits].max(initial=0.0) <= 1e-12
+    assert np.abs(hi - o_hi)[hits].max(initial=0.0) <= 1e-12
+    return hits
+
+
+def _foot_points(xi_a, klein_radius):
+    """Samples with foot point directions xi_a at the given Klein distances."""
+    xi_a = np.atleast_2d(np.asarray(xi_a, dtype=float))
+    xi_b = np.column_stack([-xi_a[:, 1], xi_a[:, 0]])
+    h_a = np.arctanh(np.broadcast_to(klein_radius, len(xi_a)))
+    return GeodesicSampleSet(1, xi_a, h_a, xi_b, 0.0, 0.0)
+
+
+def _at_klein_points(q):
+    q = np.atleast_2d(q)
+    norm = np.linalg.norm(q, axis=1)
+    return _foot_points(q / norm[:, None], norm)
+
+
+@pytest.mark.parametrize("n", [3, 4, 64, 1024, 4096])
+def test_tangent_search_matches_sweep_regular(n):
+    poly = hc.regular_polygon(n, 1.0)
+    hits = _assert_search_matches_sweep(sample_geodesics(1, 20_000, 1.5, seed=n), poly)
+    assert 0 < hits.mean() < 1
+
+
+@pytest.mark.parametrize("n", [5, 9, 17, 40, 128])
+def test_tangent_search_matches_sweep_random(n):
+    poly = hc.random_polytope(1, n, np.random.default_rng(100 + n))
+    samples = sample_geodesics(1, 20_000, float(poly.radii.max()) + 0.5, seed=n)
+    hits = _assert_search_matches_sweep(samples, poly)
+    assert 0 < hits.mean() < 1
+
+
+def _axis_polygon(n, radius):
+    """Regular n-gon (n divisible by 4) whose axis vertices are exactly (+-1, 0), (0, +-1)."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    quarter = n // 4
+    dirs[::quarter] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    return hc.from_vertices(1, dirs, np.full(n, radius))
+
+
+@pytest.mark.parametrize("poly", [
+    _axis_polygon(4, 0.5),
+    _axis_polygon(64, 0.9),
+    hc.random_polytope(1, 9, np.random.default_rng(5), r_max=1.0),
+], ids=["square", "64-gon", "random 9-gon"])
+def test_tangent_search_matches_sweep_hand_built(poly):
+    klein = poly.klein_vertices[poly.order]
+    nxt = np.roll(klein, -1, axis=0)
+    edge = nxt - klein
+    normal = np.column_stack([edge[:, 1], -edge[:, 0]])
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    points = [nxt + 0.5 * edge]  # on an edge's line beyond its end: the tangents tie
+    for delta in (-1e-9, 1e-9):
+        # just inside and just outside an edge's line, across the edge and beyond it
+        points.append(0.5 * (klein + nxt) + delta * normal)
+        points.append(nxt + 0.5 * edge + delta * normal)
+    for delta in (-1e-12, 1e-12):
+        # within 1e-12 of the boundary, at edge midpoints and at vertices
+        points.append(0.5 * (klein + nxt) + delta * normal)
+        points.append(klein * (1.0 + delta / np.linalg.norm(klein, axis=1))[:, None])
+    q = np.vstack(points)
+    q = q[np.linalg.norm(q, axis=1) < 0.99]
+    cases = [_at_klein_points(q)]
+    # on the ray through a vertex, where searchsorted ties, inside and outside
+    for scale in (0.3, 0.999, 1.001):
+        cases.append(_foot_points(poly.directions, scale * np.tanh(poly.radii)))
+    # theta = +-pi and 0, where the sorted polar angles wrap
+    wrap = np.array([[-1.0, 0.0], [-1.0, -0.0], [1.0, 0.0], [1.0, -0.0]])
+    for radius in (0.05, 0.3, 0.5, 0.7, 0.9, 0.98):
+        cases.append(_foot_points(wrap, radius))
+    hits = np.concatenate([_assert_search_matches_sweep(c, poly) for c in cases])
+    assert hits.any() and not hits.all()
+    # on the boundary itself the span is pi up to rounding, so whether it
+    # reads as a hit is a rounding artefact; both must flag it as grazing
+    on_edge = _at_klein_points(0.5 * (klein + nxt))
+    for _, tangent, _, _ in _search_and_sweep(on_edge, poly):
+        assert tangent.all()
+
+
+def test_single_sample_path_takes_the_search():
+    # count_intersections builds a one-sample set and reads the same m=1 arcs,
+    # with and without omega
+    poly = hc.regular_polygon(64, 0.9)
+    samples = sample_geodesics(1, 300, 1.4, seed=9)
+    (_, _, lo, hi), (o_hits, o_tangent, o_lo, o_hi) = _search_and_sweep(samples, poly)
+    assert np.abs(lo - o_lo)[o_hits].max() <= 1e-12
+    upper = lambda eta: eta[1] > 0.0
+    for i in range(len(samples)):
+        g = samples[i]
+        expected = (0, True) if o_tangent[i] else (2 * int(o_hits[i]), False)
+        assert count_intersections(g, poly) == expected
+        if o_hits[i] and not o_tangent[i]:
+            kept = sum(bool(upper(g.cylinder(np.asarray(s))[1])) for s in (o_lo[i], o_hi[i]))
+            assert count_intersections(g, poly, omega=upper) == (kept, False)

@@ -12,7 +12,8 @@ from hypcurv.ctransform import (
     double_convexify,
     grid_conjugate,
 )
-from hypcurv.minkowski import normalize_rows
+from hypcurv.ctransform import _conjugate_at
+from hypcurv.minkowski import DOT_FLOOR, normalize_rows
 
 
 def dirs_from_angles(angles):
@@ -127,8 +128,6 @@ def test_diagnostics_reject_non_concave(grid_m1, solved):
 def test_near_minimum_inequality(grid_m1, solved):
     # 0 <= psi(xi) - psi(xi0) <= cost(xi0, xi) at the grid minimum of the
     # c-concave extension of psi
-    from hypcurv.ctransform import _conjugate_at
-
     phi = grid_conjugate(solved.psi, grid_m1)
     stride = max(1, grid_m1.size // 1024)
     probes = grid_m1.nodes[::stride]
@@ -139,6 +138,41 @@ def test_near_minimum_inequality(grid_m1, solved):
         gap = val - psi_min
         assert gap >= -1e-9
         assert gap <= hc.cost(xi0, xi) + 1e-4
+
+
+def _conjugate_at_by_loop(targets, nodes, phi):
+    out = np.empty(len(targets))
+    for row, zeta in enumerate(targets):
+        dots = nodes @ zeta
+        ok = dots > DOT_FLOOR
+        out[row] = np.min(-np.log(dots[ok]) - phi[ok])
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_conjugate_at_matches_loop_oracle(m, grid_m1, grid_m2):
+    grid = grid_m1 if m == 1 else grid_m2
+    body = hc.regular_polygon(7, 0.9) if m == 1 else hc.icosphere_body(1, 0.9)
+    psi = hc.solve(hc.curvature_measure_angles(body)).psi
+    phi = grid_conjugate(psi, grid)
+    probes = grid.nodes[::max(1, grid.size // 2048)]
+    assert np.abs(_conjugate_at(probes, grid.nodes, phi)
+                  - _conjugate_at_by_loop(probes, grid.nodes, phi)).max() <= 1e-12
+
+
+def test_conjugate_at_drops_dots_below_the_floor(grid_m1):
+    # a node nearly orthogonal to the target, with a huge e^phi, wins the
+    # unmasked maximum; its dot is below DOT_FLOOR, so it must not count
+    target = grid_m1.nodes[:1]
+    dots = grid_m1.nodes @ target[0]
+    tiny = (dots > 0.0) & (dots <= DOT_FLOOR)
+    assert tiny.any()
+    phi = np.full(grid_m1.size, 0.4)
+    phi[tiny] = 40.0
+    ext = _conjugate_at(target, grid_m1.nodes, phi)
+    assert ext[0] == pytest.approx(_conjugate_at_by_loop(target, grid_m1.nodes, phi)[0],
+                                   abs=1e-12)
+    assert ext[0] == pytest.approx(-0.4, abs=1e-12)
 
 
 def test_kernel_cache_keys_on_support_bytes(monkeypatch, grid_m1):

@@ -86,5 +86,16 @@ def test_edges_cover_icosphere():
     assert g.size - len(e) + len(g.triangles) == 2
 
 
+@pytest.mark.parametrize("level", [1, 3, 4])
+def test_edges_match_row_unique(level):
+    g = build_grid(2, level)
+    pairs = np.concatenate([g.triangles[:, [0, 1]], g.triangles[:, [1, 2]],
+                            g.triangles[:, [2, 0]]])
+    expected = np.unique(np.sort(pairs, axis=1), axis=0)
+    e = g.edges()
+    assert e.dtype == expected.dtype
+    assert np.array_equal(e, expected)
+
+
 def test_weight_sum_matches_fsum(grid_m2):
     assert math.fsum(grid_m2.weights) == pytest.approx(4.0 * np.pi, abs=1e-9)
