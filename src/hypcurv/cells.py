@@ -44,9 +44,8 @@ from .quadrature import QuadratureGrid
 # Every direction must have a support point within distance pi/2 - DENSITY_MARGIN.
 DENSITY_MARGIN = 1e-6
 
-# Entries of one (rows x columns) block of dot products: 2 MB, so that a
-# block and its scores stay small next to the rest of a Crofton comparison.
-_BLOCK_ENTRIES = 1 << 18
+# Entries of one (grid rows x supports) block of dot products.
+_BLOCK_ENTRIES = 2_000_000
 
 
 @functools.cache
@@ -119,14 +118,24 @@ class SupportKernel:
         return -np.log(best)
 
     def conjugate_update(self, phi: np.ndarray) -> np.ndarray:
-        """Grid c-transform of phi back onto the support: min_k (c_ki - phi_k)."""
+        """Grid c-transform of phi back onto the support: min_k (c_ki - phi_k).
+
+        c_ki = -ln <eta_k, xi_i> over dots above DOT_FLOOR, so this is
+        -ln max_k(dot * e^phi_k), taken in score form with the grid nodes
+        scaled by e^phi.  A support point's unmasked maximum above
+        DOT_FLOOR * max(e^phi) is attained at a dot above DOT_FLOOR, so only
+        the other points need the mask.
+        """
+        weights = np.exp(phi)
         best = np.full(self.n, -np.inf)
         for lo, hi in self._chunks():
-            dots = self._dot_block(lo, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ln = np.where(dots > DOT_FLOOR, np.log(np.maximum(dots, DOT_FLOOR)), -np.inf)
-            np.maximum(best, (ln + phi[lo:hi, None]).max(axis=0), out=best)
-        return -best
+            scores = (self.grid.nodes[lo:hi] * weights[lo:hi, None]) @ self.points.T
+            np.maximum(best, scores.max(axis=0), out=best)
+        for i in np.flatnonzero(best <= DOT_FLOOR * weights.max()):
+            dots = self.grid.nodes @ self.points[i]
+            best[i] = np.max(dots * weights, where=dots > DOT_FLOOR, initial=0.0)
+        with np.errstate(divide="ignore"):
+            return -np.log(best)
 
     # -- cell integrals --------------------------------------------------
 

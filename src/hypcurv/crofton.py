@@ -21,12 +21,12 @@ polar boundary is an arc whose endpoints are the crossing parameters.  The
 basepoint lies inside the body, so a hitting arc never wraps and its ends
 come from the smallest and largest form angle.  For m=1 these belong to the
 two tangent vertices from the foot point's Klein point, found by a bisection
-over the polygon's edges in O(log n) per geodesic; m=2 (and polygons of a
-few vertices) sweep every vertex over all samples.  Restricted to
-omega = {h1 < h2}, a crossing of body 1 counts where gamma is below body 2's
-boundary, and one of body 2 where it is above body 1's: membership in the
-other body's arc, with no evaluation of either support function.  A
-partition-and-bisection fallback handles arbitrary support callables.
+over the polygon's edges in O(log n) per geodesic; m=2 sweeps every vertex
+over all samples.  Restricted to omega = {h1 < h2}, a crossing of body 1
+counts where gamma is below body 2's boundary, and one of body 2 where it is
+above body 1's: membership in the other body's arc, with no evaluation of
+either support function.  A partition-and-bisection fallback handles
+arbitrary support callables.
 
 The area side integrates f(b) / cosh(r_i) over the grid nodes, with b = tanh h
 each node's best score from ``cells.SupportKernel``, formed block by block.
@@ -54,10 +54,6 @@ _N_PARTITION = 2048
 
 # allowance for the grid quadrature of the area difference in the agreement flag
 _QUADRATURE_TOL = 1e-3
-
-# m=1 polygons with at least this many vertices take the tangent search; at
-# 100k samples the two routes cost the same at 8 vertices (about 12 ms each)
-_SEARCH_MIN_VERTICES = 8
 
 # samples per block of the tangent search, which bounds its temporaries
 _BLOCK = 1 << 14
@@ -160,11 +156,11 @@ def _poly_crossings(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     set of form angles phi_i spanning less than pi contains phi = 0 and does
     not wrap: its ends are min phi_i and max phi_i, and the above-arc
     [max phi_i - pi/2, min phi_i + pi/2] lies in [-pi/2, pi/2].  For m=1
-    polygons of ``_SEARCH_MIN_VERTICES`` or more vertices the two extreme
-    vertices come from a tangent search (``_form_extremes_search``);
-    otherwise every vertex is swept (``_form_extremes_sweep``).
+    the two extreme vertices come from a tangent search
+    (``_form_extremes_search``); for m=2 every vertex is swept
+    (``_form_extremes_sweep``).
     """
-    if poly.m == 1 and poly.n_vertices >= _SEARCH_MIN_VERTICES:
+    if poly.m == 1:
         lo_phi, hi_phi = _form_extremes_search(samples, poly)
     else:
         lo_phi, hi_phi = _form_extremes_sweep(samples, poly)
@@ -190,31 +186,6 @@ def _form_extremes_sweep(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     return lo_phi, hi_phi
 
 
-def _polar_locator(polar: np.ndarray):
-    """theta -> searchsorted(polar, theta, side="right") - 1 on [-pi, pi], by buckets.
-
-    ``polar`` is ascending.  Over 4n equal buckets a table holds, for each
-    bucket, the last angle at or below the start of the bucket before it,
-    which never passes the answer however theta's bucket index rounds.
-    Forward steps finish each query; they cross at most two buckets' angles.
-    """
-    n_buckets = 4 * len(polar)
-    scale = n_buckets / (2.0 * np.pi)
-    starts = (np.arange(n_buckets + 1) - 1) / scale - np.pi
-    table = np.searchsorted(polar, starts, side="right") - 1
-    upper = np.append(polar, np.inf)
-
-    def locate(theta: np.ndarray) -> np.ndarray:
-        j = table[((theta + np.pi) * scale).astype(np.intp)]
-        while True:
-            step = upper[j + 1] <= theta
-            if not step.any():
-                return j
-            j += step
-
-    return locate
-
-
 def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     """min phi_i and max phi_i per sample of an m=1 sample set, by tangent search.
 
@@ -238,7 +209,6 @@ def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     shift = -int(np.argmin(polar))
     ring, corner, polar = (np.roll(a, shift, axis=0) for a in (ring, corner, polar))
     n = len(ring)
-    locate = _polar_locator(polar)
     edge = np.roll(corner, -1, axis=0) - corner
     normal = np.column_stack([edge[:, 1], -edge[:, 0]])
     # edge j (from vertex j to j + 1) is visible from q iff <dual_j, q> > 1.
@@ -265,14 +235,15 @@ def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
         theta = np.arctan2(xa[:, 1], xa[:, 0])
         t = np.tanh(h_a)
         qx, qy = t * xa[:, 0], t * xa[:, 1]
-        first = locate(theta) + n
+        first = np.searchsorted(polar, theta, side="right") - 1 + n
         last = first.copy()
         outside = dual_x[first] * qx + dual_y[first] * qy > 1.0
         out = np.flatnonzero(outside)
         if out.size:
             base, qx, qy = first[out], qx[out], qy[out]
             # steps counterclockwise from j0 to the edge the ray through -q crosses
-            to_bound = (locate(theta[out] - np.copysign(np.pi, theta[out])) + n - base) % n
+            opposite = theta[out] - np.copysign(np.pi, theta[out])
+            to_bound = (np.searchsorted(polar, opposite, side="right") - 1 + n - base) % n
             for ends, sign, limit in ((last, 1, base + to_bound), (first, -1, base + to_bound - n)):
                 end = base.copy()
                 for step in steps:

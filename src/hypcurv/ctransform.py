@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import _BLOCK_ENTRIES, SupportKernel
+from .cells import SupportKernel
 from .errors import UncoveredDirectionError
 from .minkowski import DOT_FLOOR, TIE_EPS, validate_dimension
 from .quadrature import QuadratureGrid
@@ -120,27 +120,6 @@ class ConjugacyDiagnostics:
     lipschitz_estimate: float
 
 
-def _conjugate_at(targets: np.ndarray, nodes: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Conjugate of a grid potential evaluated at target directions.
-
-    min over nodes with dot > DOT_FLOOR of (-ln dot - phi), computed in score
-    form as -ln max(dot * e^phi), a block of targets at a time against the
-    nodes scaled by e^phi.  A row's unmasked maximum above
-    DOT_FLOOR * max(e^phi) is attained at a dot above DOT_FLOOR, so only the
-    other rows need the mask.
-    """
-    weights = np.exp(phi)
-    scaled = nodes.T * weights
-    rows = max(1, _BLOCK_ENTRIES // len(nodes))
-    best = np.empty(len(targets))
-    for lo in range(0, len(targets), rows):
-        best[lo:lo + rows] = (targets[lo:lo + rows] @ scaled).max(axis=1)
-    for row in np.flatnonzero(best <= DOT_FLOOR * weights.max()):
-        dots = nodes @ targets[row]
-        best[row] = np.max(dots * weights, where=dots > DOT_FLOOR, initial=0.0)
-    return -np.log(best)
-
-
 def conjugacy_diagnostics(psi: PotentialVector, grid: QuadratureGrid,
                           concavity_tol: float = 1e-6) -> ConjugacyDiagnostics:
     """Check the min/max pairing identities of the conjugate function pair.
@@ -170,7 +149,7 @@ def conjugacy_diagnostics(psi: PotentialVector, grid: QuadratureGrid,
         np.arange(0, grid.size, stride),
         [int(np.argmax(phi)), int(np.argmin(phi))],
     ]))
-    psi_ext = _conjugate_at(grid.nodes[probe_idx], grid.nodes, phi)
+    psi_ext = SupportKernel(psi.m, grid.nodes[probe_idx], grid).conjugate_update(phi)
     edges = grid.edges()
     a, b = edges[:, 0], edges[:, 1]
     dist = np.arccos(np.clip(np.sum(grid.nodes[a] * grid.nodes[b], axis=1), -1.0, 1.0))

@@ -12,7 +12,6 @@ from hypcurv.ctransform import (
     double_convexify,
     grid_conjugate,
 )
-from hypcurv.ctransform import _conjugate_at
 from hypcurv.minkowski import DOT_FLOOR, normalize_rows
 
 
@@ -131,7 +130,7 @@ def test_near_minimum_inequality(grid_m1, solved):
     phi = grid_conjugate(solved.psi, grid_m1)
     stride = max(1, grid_m1.size // 1024)
     probes = grid_m1.nodes[::stride]
-    ext = _conjugate_at(probes, grid_m1.nodes, phi)
+    ext = SupportKernel(1, probes, grid_m1).conjugate_update(phi)
     xi0 = probes[int(np.argmin(ext))]
     psi_min = ext.min()
     for xi, val in zip(solved.psi.support, solved.psi.values):
@@ -150,29 +149,32 @@ def _conjugate_at_by_loop(targets, nodes, phi):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_conjugate_at_matches_loop_oracle(m, grid_m1, grid_m2):
+def test_conjugate_update_matches_loop_oracle(m, grid_m1, grid_m2):
+    # on the probe kernel of conjugacy_diagnostics and on the support kernel
+    # of double_convexify
     grid = grid_m1 if m == 1 else grid_m2
     body = hc.regular_polygon(7, 0.9) if m == 1 else hc.icosphere_body(1, 0.9)
     psi = hc.solve(hc.curvature_measure_angles(body)).psi
     phi = grid_conjugate(psi, grid)
     probes = grid.nodes[::max(1, grid.size // 2048)]
-    assert np.abs(_conjugate_at(probes, grid.nodes, phi)
-                  - _conjugate_at_by_loop(probes, grid.nodes, phi)).max() <= 1e-12
+    for points in (probes, psi.support):
+        got = SupportKernel(m, points, grid).conjugate_update(phi)
+        assert np.abs(got - _conjugate_at_by_loop(points, grid.nodes, phi)).max() <= 1e-12
 
 
-def test_conjugate_at_drops_dots_below_the_floor(grid_m1):
-    # a node nearly orthogonal to the target, with a huge e^phi, wins the
-    # unmasked maximum; its dot is below DOT_FLOOR, so it must not count
-    target = grid_m1.nodes[:1]
-    dots = grid_m1.nodes @ target[0]
+def test_conjugate_update_drops_dots_below_the_floor(grid_m1):
+    # a node nearly orthogonal to the first support point, with a huge e^phi,
+    # wins that point's unmasked maximum; its dot is below DOT_FLOOR, so it
+    # must not count
+    points = grid_m1.nodes[::max(1, grid_m1.size // 64)]
+    dots = grid_m1.nodes @ points[0]
     tiny = (dots > 0.0) & (dots <= DOT_FLOOR)
     assert tiny.any()
     phi = np.full(grid_m1.size, 0.4)
     phi[tiny] = 40.0
-    ext = _conjugate_at(target, grid_m1.nodes, phi)
-    assert ext[0] == pytest.approx(_conjugate_at_by_loop(target, grid_m1.nodes, phi)[0],
-                                   abs=1e-12)
-    assert ext[0] == pytest.approx(-0.4, abs=1e-12)
+    got = SupportKernel(1, points, grid_m1).conjugate_update(phi)
+    assert np.abs(got - _conjugate_at_by_loop(points, grid_m1.nodes, phi)).max() <= 1e-12
+    assert got[0] == pytest.approx(-0.4, abs=1e-12)
 
 
 def test_kernel_cache_keys_on_support_bytes(monkeypatch, grid_m1):
