@@ -18,9 +18,9 @@ vertex directions.  Two independent routes compute it:
   the directions and radii (``_corner_angles``).
 
 Their agreement is one of the package's main self-checks.  The corner
-formula also gives its own partial derivatives in the radii, from which
-``exterior_angle_jacobian`` assembles d alpha / d r exactly; the Newton
-solve of ``solver`` runs on it.
+formula also gives its own partial derivatives in the radii, so
+``exterior_angles`` returns the angles and d alpha / d r together from one
+pass over the corners; the Newton solve of ``solver`` runs on it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .cells import SupportKernel
 from .errors import DegenerateHullError, NonExtremeVertexError, OriginNotInteriorError
+from .measures import DiscreteMeasure
 from .minkowski import (
     TIE_EPS,
     boost_matrix,
@@ -187,8 +188,6 @@ def curvature_measure_integral(poly: HyperbolicPolytope, grid: QuadratureGrid):
     (``cells.SupportKernel``) and divides by cosh(r_i); the grid is not read.
     Returns a DiscreteMeasure supported on the vertex directions.
     """
-    from .measures import DiscreteMeasure
-
     kernel = SupportKernel(poly.m, poly.directions, grid)
     masses, _ = kernel.cell_sums(np.tanh(poly.radii))
     weights = masses / np.cosh(poly.radii)
@@ -206,9 +205,9 @@ def _corners(poly: HyperbolicPolytope):
     between its edges to j and k, one per m=1 vertex and three per m=2 triangle."""
     if poly.m == 1:
         i = poly.order
-        j, k = np.roll(i, 1), np.roll(i, -1)
+        j, k = np.concatenate([i[-1:], i[:-1]]), np.concatenate([i[1:], i[:1]])
     else:
-        i, j, k = (np.roll(poly.simplices, -s, axis=1).ravel() for s in range(3))
+        i, j, k = (poly.simplices[:, turn].ravel() for turn in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
     # m=1 directions lie in the plane z = 0, where every turn is pi
     dirs = np.zeros((3, poly.n_vertices))
     dirs[:poly.m + 1] = poly.directions.T
@@ -269,26 +268,29 @@ def curvature_measure_angles(poly: HyperbolicPolytope):
     alpha_i is m pi minus the sum of the corner angles at vertex i; for m=2
     its triangles' corners add up to the angles of its faces.
     """
-    from .measures import DiscreteMeasure
-
     dirs, i, j, k = _corners(poly)
     corners = _corner_angles(dirs, poly.radii, i, j, k)[0]
     alpha = poly.m * np.pi - np.bincount(i, corners, minlength=poly.n_vertices)
     return DiscreteMeasure(poly.m, poly.directions, alpha)
 
 
-def exterior_angle_jacobian(poly: HyperbolicPolytope) -> np.ndarray:
-    """d alpha / d r as a dense (N, N) array, in closed form.
+def exterior_angles(poly: HyperbolicPolytope):
+    """The exterior angles alpha and d alpha / d r as a dense (N, N) array,
+    from one pass of the corner formula.
 
-    Row i collects the negated partials of the corners at vertex i, so it is
-    nonzero only at i and at the vertices joined to i by a hull edge.
+    alpha is the array ``curvature_measure_angles`` weights the vertex
+    directions with.  Row i of the Jacobian collects the negated partials of
+    the corners at vertex i, so it is nonzero only at i and at the vertices
+    joined to i by a hull edge.
     """
     dirs, i, j, k = _corners(poly)
-    _, d_i, d_j, d_k = _corner_angles(dirs, poly.radii, i, j, k)
-    jac = np.zeros((poly.n_vertices, poly.n_vertices))
-    for column, slope in ((i, d_i), (j, d_j), (k, d_k)):
-        np.add.at(jac, (i, column), -slope)
-    return jac
+    corners, d_i, d_j, d_k = _corner_angles(dirs, poly.radii, i, j, k)
+    n = poly.n_vertices
+    alpha = poly.m * np.pi - np.bincount(i, corners, minlength=n)
+    # entries of the flat index i*N + column, summed in the order i, j, k
+    flat = np.concatenate([i * n + i, i * n + j, i * n + k])
+    jac = np.bincount(flat, -np.concatenate([d_i, d_j, d_k]), minlength=n * n)
+    return alpha, jac.reshape(n, n)
 
 
 # -- area, isometries, generators ------------------------------------------

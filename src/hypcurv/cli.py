@@ -120,6 +120,7 @@ def _report_dict(report) -> dict:
         "radii": report.body.radii.tolist() if report.body is not None else None,
         "directions": report.psi.support.tolist(),
         "residual_history": report.residual_history,
+        "damping_history": report.damping_history,
         "el_residuals": report.residuals.tolist(),
         "condition_report": report.condition_report.to_dict()
         if report.condition_report is not None else None,

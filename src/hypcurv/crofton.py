@@ -124,8 +124,9 @@ def sample_geodesics(m: int, n: int, h_cap: float, seed: int) -> GeodesicSampleS
     u = rng.random(n)
     if m == 1:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        xi_a = np.column_stack([np.cos(theta), np.sin(theta)])
-        xi_b = np.column_stack([-np.sin(theta), np.cos(theta)])
+        cos, sin = np.cos(theta), np.sin(theta)
+        xi_a = np.column_stack([cos, sin])
+        xi_b = np.column_stack([-sin, cos])
         h_a = np.arccosh(1.0 + u * (np.cosh(h_cap) - 1.0))
         total = 2.0 * np.pi * (np.cosh(h_cap) - 1.0)
     else:
@@ -135,9 +136,10 @@ def sample_geodesics(m: int, n: int, h_cap: float, seed: int) -> GeodesicSampleS
         e1 = seed_vec - np.sum(seed_vec * normal, axis=1, keepdims=True) * normal
         e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
         e2 = np.cross(normal, e1)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        xi_a = np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2
-        xi_b = -np.sin(theta)[:, None] * e1 + np.cos(theta)[:, None] * e2
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)[:, None]
+        cos, sin = np.cos(theta), np.sin(theta)
+        xi_a = cos * e1 + sin * e2
+        xi_b = -sin * e1 + cos * e2
         h_a = np.arcsinh(np.sqrt(u) * np.sinh(h_cap))
         total = 2.0 * np.pi**2 * np.sinh(h_cap) ** 2
     return GeodesicSampleSet(m, xi_a, h_a, xi_b, float(h_cap), float(total))

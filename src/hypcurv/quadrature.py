@@ -8,6 +8,7 @@ incident triangles and the weights are renormalized to total 4*pi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,8 +141,6 @@ def integrate(fn, grid: QuadratureGrid) -> float:
     node-index order with compensated summation, so results are deterministic.
     Non-finite integrand values raise IntegrationError naming the node.
     """
-    import math
-
     try:
         values = np.asarray(fn(grid.nodes), dtype=float)
         if values.shape != (grid.size,):

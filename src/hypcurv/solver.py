@@ -5,16 +5,18 @@ its exterior angle alpha_i(r), and an admissible measure is the curvature
 measure of exactly one body.  So ``solve`` looks for the radii with
 alpha(r) = a.  It works in the potentials psi_i = log tanh r_i < 0 and runs
 damped Newton on the residual alpha(psi) - a, which ``from_vertices`` and
-``curvature_measure_angles`` evaluate exactly, with no grid:
+``bodies.exterior_angles`` evaluate exactly, with no grid:
 
 * the start is the ball whose total curvature is the measure's total;
-* the Jacobian is ``bodies.exterior_angle_jacobian``, the corner formula
-  differentiated in closed form, times dr/dpsi = sinh r cosh r; weighted by
+* one pass of the corner formula gives each trial's angles and its Jacobian,
+  d alpha / d r in closed form, times dr/dpsi = sinh r cosh r; weighted by
   cosh r it is symmetric, the Hessian of the paper's dual functional, whose
-  gradient is cosh(r_i)(a_i - alpha_i);
+  gradient is cosh(r_i)(a_i - alpha_i).  The accepted trial's Jacobian
+  gives the next step;
 * the step is halved until the sup-norm residual strictly falls, and trials
-  with some psi_i >= -PSI_FLOOR or an invalid body are rejected.  This damping
-  follows Kitagawa, Merigot and Thibert (JEMS 2019).
+  with some psi_i >= -PSI_FLOOR, an invalid body or an exterior angle that is
+  not positive are rejected.  This damping follows Kitagawa, Merigot and
+  Thibert (JEMS 2019).
 
 The dual objective
 
@@ -35,8 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import (HyperbolicPolytope, curvature_measure_angles, exterior_angle_jacobian,
-                     from_vertices)
+from .bodies import HyperbolicPolytope, exterior_angles, from_vertices
 from .ctransform import PSI_FLOOR, PotentialVector, kernel_for
 from .densities import G_psi, g_psi
 from .errors import HypcurvError, PreconditionError
@@ -72,7 +73,9 @@ class SolveReport:
     singular) or "geometry" (the start gave no valid body).
     ``residual_history`` holds the sup residual max|alpha - a| at the start
     and after each step, so it has ``iterations + 1`` entries and falls
-    strictly; it is empty when the start is invalid.
+    strictly; it is empty when the start is invalid.  ``damping_history``
+    holds the accepted step factor of each step, aligned with
+    ``residual_history[1:]``, so it has ``iterations`` entries.
     ``condition_report`` is None for m=2 above EXHAUSTIVE_MAX_ATOMS atoms,
     where only the two O(N) conditions are checked and a converged solve
     certifies the measure.
@@ -83,6 +86,7 @@ class SolveReport:
     iterations: int
     stop_reason: str
     residual_history: list = field(default_factory=list)
+    damping_history: list = field(default_factory=list)
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))   # |alpha - a| / a
     body: HyperbolicPolytope | None = None
     condition_report: ConditionReport | None = None
@@ -141,31 +145,35 @@ def _ball_heuristic_psi(mu: DiscreteMeasure) -> float:
 
 
 def _angles(mu: DiscreteMeasure, psi: np.ndarray):
-    """The body with potentials psi and its exterior angles; raises if it is invalid."""
+    """The body with potentials psi, its exterior angles and d alpha / d psi.
+
+    Raises if the body is invalid or some exterior angle is not positive.
+    d alpha / d psi is d alpha / d r times dr/dpsi = sinh r cosh r.
+    """
     body = from_vertices(mu.m, mu.points, np.arctanh(np.exp(psi)))
-    return body, curvature_measure_angles(body).weights
-
-
-def _jacobian(body: HyperbolicPolytope) -> np.ndarray:
-    """d alpha / d psi: the closed-form d alpha / d r times dr/dpsi = sinh r cosh r."""
-    return exterior_angle_jacobian(body) * (np.sinh(body.radii) * np.cosh(body.radii))
+    alpha, jac = exterior_angles(body)
+    if not alpha.min() > 0:
+        raise ValueError("every exterior angle must be positive")
+    jac *= np.sinh(body.radii) * np.cosh(body.radii)
+    return body, alpha, jac
 
 
 def _newton(mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
     """Damped Newton on alpha(psi) = a from a valid start.
 
-    Returns (psi, body, alpha, residual history, stop reason).
+    Returns (psi, body, alpha, residual history, damping history, stop reason).
     """
-    body, alpha = _angles(mu, psi)
+    body, alpha, jac = _angles(mu, psi)
     history = [float(np.abs(alpha - mu.weights).max())]
+    dampings = []
     tol = cfg.tol * mu.total
     while history[-1] > tol:
         if len(history) > cfg.max_iter:
-            return psi, body, alpha, history, "max_iter"
+            return psi, body, alpha, history, dampings, "max_iter"
         try:
-            step = np.linalg.solve(_jacobian(body), mu.weights - alpha)
+            step = np.linalg.solve(jac, mu.weights - alpha)
         except np.linalg.LinAlgError:
-            return psi, body, alpha, history, "damping"
+            return psi, body, alpha, history, dampings, "damping"
         damping = 1.0
         while True:
             trial = psi + damping * step
@@ -173,7 +181,7 @@ def _newton(mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
             # rejects a NaN step
             if trial.max() < -PSI_FLOOR:
                 try:
-                    trial_body, trial_alpha = _angles(mu, trial)
+                    trial_body, trial_alpha, trial_jac = _angles(mu, trial)
                 except (HypcurvError, ValueError):
                     pass
                 else:
@@ -182,10 +190,11 @@ def _newton(mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
                         break
             damping *= 0.5
             if damping < MIN_DAMPING:
-                return psi, body, alpha, history, "damping"
-        psi, body, alpha = trial, trial_body, trial_alpha
+                return psi, body, alpha, history, dampings, "damping"
+        psi, body, alpha, jac = trial, trial_body, trial_alpha, trial_jac
         history.append(res)
-    return psi, body, alpha, history, "converged"
+        dampings.append(damping)
+    return psi, body, alpha, history, dampings, "converged"
 
 
 def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
@@ -200,8 +209,8 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
     a converged solve certifies mu (the paper's necessity direction: every
     body's curvature measure is admissible), and a failed one gives its
     ``stop_reason``.  The returned report carries the potential, the
-    residual history, the relative per-atom residuals and, when the potential describes a valid
-    body, that body.  With ``force`` it never raises: an invalid start gives
+    residual and damping histories, the relative per-atom residuals and,
+    when the potential describes a valid body, that body.  With ``force`` it never raises: an invalid start gives
     an unconverged report with ``extraction_error`` set.
     """
     cfg = config or SolverConfig()
@@ -214,7 +223,7 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
 
     psi0 = np.full(mu.size, _ball_heuristic_psi(mu))
     try:
-        psi, body, alpha, history, reason = _newton(mu, psi0, cfg)
+        psi, body, alpha, history, dampings, reason = _newton(mu, psi0, cfg)
     except (HypcurvError, ValueError) as exc:
         return SolveReport(
             psi=PotentialVector(mu.m, mu.points, psi0),
@@ -232,6 +241,7 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
         iterations=len(history) - 1,
         stop_reason=reason,
         residual_history=history,
+        damping_history=dampings,
         residuals=np.abs(alpha - mu.weights) / mu.weights,
         body=body,
         condition_report=cond,

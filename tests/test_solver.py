@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypcurv as hc
+from hypcurv.bodies import _corner_angles, _corners, exterior_angles
 from hypcurv.measures import EXHAUSTIVE_MAX_ATOMS, DiscreteMeasure
 from hypcurv.solver import (
     SolverConfig,
     _angles,
-    _jacobian,
     dual_gradient,
     dual_objective,
     extract_body,
@@ -18,6 +20,11 @@ from hypcurv.solver import (
 def dirs_from_angles(angles):
     angles = np.asarray(angles, dtype=float)
     return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def psi_jacobian(body):
+    """d alpha / d psi: d alpha / d r times dr/dpsi = sinh r cosh r."""
+    return exterior_angles(body)[1] * (np.sinh(body.radii) * np.cosh(body.radii))
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +281,7 @@ def test_analytic_jacobian_matches_dense_differences(m, sizes):
         body = hc.random_polytope(m, n, rng)
         mu = hc.curvature_measure_angles(body)
         psi = np.log(np.tanh(body.radii))
-        analytic = _jacobian(body)
+        analytic = _angles(mu, psi)[2]
         dense = np.empty((n, n))
         for j in range(n):
             bump = np.zeros(n)
@@ -290,7 +297,7 @@ def test_weighted_jacobian_is_symmetric_with_positive_definite_part(m, sizes):
     rng = np.random.default_rng(70 + m)
     for n in sizes:
         body = hc.random_polytope(m, n, rng)
-        weighted = np.cosh(body.radii)[:, None] * _jacobian(body)
+        weighted = np.cosh(body.radii)[:, None] * psi_jacobian(body)
         assert np.abs(weighted - weighted.T).max() <= 1e-12 * np.abs(weighted).max(), (m, n)
         assert np.linalg.eigvalsh(0.5 * (weighted + weighted.T)).min() > 0.0, (m, n)
 
@@ -306,3 +313,93 @@ def test_icosphere_round_trip(level):
     assert rep.converged and rep.iterations <= 10
     assert np.array_equal(rep.body.directions, body.directions)
     assert np.abs(rep.body.radii - body.radii).max() <= 1e-10 * body.radii.min()
+
+
+def _add_at_jacobian(body):
+    """d alpha / d r by three np.add.at calls: the assembly that the one
+    np.bincount of ``exterior_angles`` replaced, kept as its oracle."""
+    dirs, i, j, k = _corners(body)
+    _, d_i, d_j, d_k = _corner_angles(dirs, body.radii, i, j, k)
+    jac = np.zeros((body.n_vertices, body.n_vertices))
+    for column, slope in ((i, d_i), (j, d_j), (k, d_k)):
+        np.add.at(jac, (i, column), -slope)
+    return jac
+
+
+@pytest.mark.parametrize("m, sizes", [(1, (4, 5, 9, 30, 200)), (2, (5, 8, 12, 40, 120))])
+def test_one_corner_pass_matches_separate_routes(m, sizes):
+    rng = np.random.default_rng(80 + m)
+    for n in sizes:
+        body = hc.random_polytope(m, n, rng)
+        alpha, jac = exterior_angles(body)
+        assert np.array_equal(alpha, hc.curvature_measure_angles(body).weights), (m, n)
+        oracle = _add_at_jacobian(body)
+        assert np.abs(jac - oracle).max() <= 1e-15 * np.abs(oracle).max(), (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (1, 9), (1, 200), (2, 5), (2, 12), (2, 40), (2, 120)])
+def test_indexed_corners_match_np_roll(m, n):
+    body = hc.random_polytope(m, n, np.random.default_rng(90 + n))
+    _, i, j, k = _corners(body)
+    if m == 1:
+        rolled = [body.order, np.roll(body.order, 1), np.roll(body.order, -1)]
+    else:
+        rolled = [np.roll(body.simplices, -s, axis=1).ravel() for s in range(3)]
+    for got, want in zip((i, j, k), rolled):
+        assert np.array_equal(got, want), (m, n)
+
+
+bodies = st.one_of(st.tuples(st.just(1), st.integers(4, 60)),
+                   st.tuples(st.just(2), st.integers(5, 40)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=bodies, seed=st.integers(0, 2**32 - 1))
+def test_weighted_jacobian_property(shape, seed):
+    # diag(cosh r) d alpha / d psi is symmetric with a positive definite part
+    m, n = shape
+    body = hc.random_polytope(m, n, np.random.default_rng(seed))
+    weighted = np.cosh(body.radii)[:, None] * psi_jacobian(body)
+    assert np.abs(weighted - weighted.T).max() <= 1e-12 * np.abs(weighted).max()
+    assert np.linalg.eigvalsh(0.5 * (weighted + weighted.T)).min() > 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.one_of(st.tuples(st.just(1), st.integers(4, 40)),
+                       st.tuples(st.just(2), st.integers(5, 12))),
+       seed=st.integers(0, 2**32 - 1))
+def test_angle_route_round_trip_property(shape, seed):
+    m, n = shape
+    body = hc.random_polytope(m, n, np.random.default_rng(seed))
+    rep = solve(hc.curvature_measure_angles(body))
+    assert rep.converged
+    assert np.array_equal(rep.body.directions, body.directions)
+    assert np.abs(rep.body.radii - body.radii).max() <= 1e-10 * body.radii.min()
+
+
+def _assert_histories_align(rep):
+    assert len(rep.residual_history) == rep.iterations + 1
+    assert len(rep.damping_history) == rep.iterations
+    # each accepted factor is 1 halved a whole number of times
+    for damping in rep.damping_history:
+        assert 0.0 < damping <= 1.0 and np.log2(damping) == np.round(np.log2(damping))
+
+
+def test_history_lengths_per_stop_reason(square_mu, criterion06_bodies):
+    rep = solve(square_mu)
+    assert rep.stop_reason == "converged" and rep.iterations > 0
+    _assert_histories_align(rep)
+
+    rep = solve(hc.curvature_measure_angles(criterion06_bodies[2][0]), SolverConfig(max_iter=2))
+    assert rep.stop_reason == "max_iter"
+    _assert_histories_align(rep)
+    assert len(rep.damping_history) == 2
+
+    rep = solve(square_mu, SolverConfig(tol=1e-30))
+    assert rep.stop_reason == "damping"
+    _assert_histories_align(rep)
+
+    mu = DiscreteMeasure(1, dirs_from_angles(0.1 * np.arange(4) / 3.0), np.full(4, 1.6))
+    rep = solve(mu, force=True)
+    assert rep.stop_reason == "geometry"
+    assert rep.iterations == 0 and rep.residual_history == [] and rep.damping_history == []
