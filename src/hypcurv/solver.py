@@ -210,8 +210,9 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
     body's curvature measure is admissible), and a failed one gives its
     ``stop_reason``.  The returned report carries the potential, the
     residual and damping histories, the relative per-atom residuals and,
-    when the potential describes a valid body, that body.  With ``force`` it never raises: an invalid start gives
-    an unconverged report with ``extraction_error`` set.
+    when the potential describes a valid body, that body.  With ``force`` it
+    never raises: an invalid start gives an unconverged report with
+    ``extraction_error`` set.
     """
     cfg = config or SolverConfig()
     start = time.perf_counter()
