@@ -188,7 +188,7 @@ def curvature_measure_integral(poly: HyperbolicPolytope, grid: QuadratureGrid):
     (``cells.SupportKernel``) and divides by cosh(r_i); the grid is not read.
     Returns a DiscreteMeasure supported on the vertex directions.
     """
-    kernel = SupportKernel(poly.m, poly.directions, grid)
+    kernel = SupportKernel(poly.m, poly.directions)
     masses, _ = kernel.cell_sums(np.tanh(poly.radii))
     weights = masses / np.cosh(poly.radii)
     return DiscreteMeasure(poly.m, poly.directions, weights)

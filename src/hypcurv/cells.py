@@ -23,8 +23,9 @@ by 8-point Gauss-Legendre per axis, collapsed onto the triangle for m=2
 cosh(r_i) alpha_i to rounding.
 
 The same hull on the unit directions makes the constructor's pi/2-density
-check exact: the least score over the sphere is the least facet support.  The
-grid serves the node-wise methods, in blocks of ``_BLOCK_ENTRIES`` dot products.
+check exact: the least score over the sphere is the least facet support.
+Points too few or too flat for a hull leave uncovered the directions away
+from their affine hull, and its normal is the direction reported.
 """
 
 from __future__ import annotations
@@ -38,14 +39,10 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .densities import F_of_b, f_of_b
 from .errors import UncoveredDirectionError
-from .minkowski import DOT_FLOOR, normalize_rows, validate_dimension
-from .quadrature import QuadratureGrid
+from .minkowski import normalize_rows, validate_dimension
 
 # Every direction must have a support point within distance pi/2 - DENSITY_MARGIN.
 DENSITY_MARGIN = 1e-6
-
-# Entries of one (grid rows x supports) block of dot products.
-_BLOCK_ENTRIES = 2_000_000
 
 
 @functools.cache
@@ -60,82 +57,45 @@ def _simplex_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([1.0 - u, u * (1.0 - v), u * v]), np.outer(w, w).ravel() * u
 
 
-class SupportKernel:
-    """Cell integrals and grid scores for one (support set, grid) pair."""
+def _away_from_flat(points: np.ndarray) -> np.ndarray:
+    """Unit normal of the points' affine hull, turned so that every <eta, P_i> <= 0.
 
-    def __init__(self, m: int, points: np.ndarray, grid: QuadratureGrid):
+    Within the normal space it points against the hull's offset from the
+    origin, so the common score is -|offset|; a single point gets -P / |P|.
+    """
+    mean = points.mean(axis=0)
+    _, sv, vt = np.linalg.svd(points - mean)
+    rank = int(np.sum(sv > 1e-10 * max(sv.max(), 1.0)))
+    normals = vt[min(rank, len(vt) - 1):]
+    offset = normals.T @ (normals @ mean)
+    size = np.linalg.norm(offset)
+    return -offset / size if size > 0.0 else normals[0]
+
+
+class SupportKernel:
+    """Cell integrals over the normal cones of the hulls of one support set."""
+
+    def __init__(self, m: int, points: np.ndarray):
         self.m = validate_dimension(m)
-        if grid.m != self.m:
-            raise ValueError("grid dimension does not match")
         self.points = np.asarray(points, dtype=float)
         self.n = self.points.shape[0]
-        self.grid = grid
         self._hull(np.ones(self.n), np.sin(DENSITY_MARGIN))
 
     def _hull(self, s: np.ndarray, floor: float) -> ConvexHull:
         """Hull of the points s_i xi_i, whose facet supports must exceed floor.
 
         Otherwise raises UncoveredDirectionError at the lowest facet's normal,
-        or, when there is no hull, at the grid node with the lowest score.
+        or, when there is no hull, at the normal of the points' affine hull.
         """
+        scaled = s[:, None] * self.points
         try:
-            hull = ConvexHull(s[:, None] * self.points)
+            hull = ConvexHull(scaled)
         except QhullError:                       # too few points, or flat input
-            best, _ = self.node_scores(s)
-            raise UncoveredDirectionError(self.grid.nodes[int(np.argmin(best))]) from None
+            raise UncoveredDirectionError(_away_from_flat(scaled)) from None
         low = int(np.argmax(hull.equations[:, -1]))     # the least facet support
         if -hull.equations[low, -1] <= floor:
             raise UncoveredDirectionError(hull.equations[low, :-1])
         return hull
-
-    # -- grid scores ----------------------------------------------------
-
-    def _chunks(self):
-        rows = max(1, _BLOCK_ENTRIES // max(self.n, 1))
-        for lo in range(0, self.grid.size, rows):
-            yield lo, min(lo + rows, self.grid.size)
-
-    def _dot_block(self, lo: int, hi: int) -> np.ndarray:
-        return self.grid.nodes[lo:hi] @ self.points.T
-
-    def node_scores(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Best score b and attaining index at every grid node."""
-        s = np.asarray(s, dtype=float)
-        best = np.empty(self.grid.size)
-        arg = np.empty(self.grid.size, dtype=int)
-        for lo, hi in self._chunks():
-            scores = self._dot_block(lo, hi) * s
-            best[lo:hi] = scores.max(axis=1)
-            arg[lo:hi] = scores.argmax(axis=1)
-        if best.min() <= 0.0:
-            bad = int(np.argmin(best))
-            raise UncoveredDirectionError(self.grid.nodes[bad])
-        return best, arg
-
-    def phi_nodes(self, s: np.ndarray) -> np.ndarray:
-        """Conjugate potential phi = -ln(b) at every grid node."""
-        best, _ = self.node_scores(s)
-        return -np.log(best)
-
-    def conjugate_update(self, phi: np.ndarray) -> np.ndarray:
-        """Grid c-transform of phi back onto the support: min_k (c_ki - phi_k).
-
-        c_ki = -ln <eta_k, xi_i> over dots above DOT_FLOOR, so this is
-        -ln max_k(dot * e^phi_k), taken in score form with the grid nodes
-        scaled by e^phi.  A support point's unmasked maximum above
-        DOT_FLOOR * max(e^phi) is attained at a dot above DOT_FLOOR, so only
-        the other points need the mask.
-        """
-        weights = np.exp(phi)
-        best = np.full(self.n, -np.inf)
-        for lo, hi in self._chunks():
-            scores = (self.grid.nodes[lo:hi] * weights[lo:hi, None]) @ self.points.T
-            np.maximum(best, scores.max(axis=0), out=best)
-        for i in np.flatnonzero(best <= DOT_FLOOR * weights.max()):
-            dots = self.grid.nodes @ self.points[i]
-            best[i] = np.max(dots * weights, where=dots > DOT_FLOOR, initial=0.0)
-        with np.errstate(divide="ignore"):
-            return -np.log(best)
 
     # -- cell integrals --------------------------------------------------
 

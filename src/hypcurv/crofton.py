@@ -29,7 +29,9 @@ either support function.  A partition-and-bisection fallback handles
 arbitrary support callables.
 
 The area side integrates f(b) / cosh(r_i) over the grid nodes, with b = tanh h
-each node's best score from ``cells.SupportKernel``, formed block by block.
+each node's best score max_i tanh(r_i) <eta, xi_i>, formed in blocks of
+``_BLOCK_ENTRIES`` dot products (``_node_scores``).  It is the one part of
+the package that reads grid nodes.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import HyperbolicPolytope
-from .cells import SupportKernel
 from .densities import f_of_b
+from .errors import UncoveredDirectionError
 from .minkowski import hyperbolic_point, validate_dimension
 from .quadrature import QuadratureGrid
 
@@ -57,6 +59,9 @@ _QUADRATURE_TOL = 1e-3
 
 # samples per block of the tangent search, which bounds its temporaries
 _BLOCK = 1 << 14
+
+# entries of one (grid rows x vertices) block of the area side's dot products
+_BLOCK_ENTRIES = 2_000_000
 
 _CROFTON_FACTOR = {1: 0.5, 2: 1.0 / np.pi}  # m / |S^{m-1}|
 
@@ -358,6 +363,21 @@ class CroftonReport:
         }
 
 
+def _node_scores(grid: QuadratureGrid, points: np.ndarray,
+                 s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best score b = max_i s_i <eta, xi_i> and attaining index at every grid node."""
+    best = np.empty(grid.size)
+    arg = np.empty(grid.size, dtype=int)
+    rows = max(1, _BLOCK_ENTRIES // max(len(points), 1))
+    for lo in range(0, grid.size, rows):
+        scores = (grid.nodes[lo:lo + rows] @ points.T) * s
+        best[lo:lo + rows] = scores.max(axis=1)
+        arg[lo:lo + rows] = scores.argmax(axis=1)
+    if best.min() <= 0.0:
+        raise UncoveredDirectionError(grid.nodes[int(np.argmin(best))])
+    return best, arg
+
+
 def _masked_polar_area(poly: HyperbolicPolytope, grid: QuadratureGrid, best: np.ndarray,
                        arg: np.ndarray, mask: np.ndarray) -> float:
     """Polar-boundary area over the masked nodes, from their best scores and vertices."""
@@ -385,9 +405,8 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
     if h_cap is None:
         h_cap = float(max(poly1.radii.max(), poly2.radii.max()) + 0.5)
 
-    (b1, arg1), (b2, arg2) = (
-        SupportKernel(m, p.directions, grid).node_scores(np.tanh(p.radii))
-        for p in (poly1, poly2))
+    (b1, arg1), (b2, arg2) = (_node_scores(grid, p.directions, np.tanh(p.radii))
+                              for p in (poly1, poly2))
     mask = (b1 < b2) if omega == "lower" else np.ones(grid.size, dtype=bool)
     lhs = (_masked_polar_area(poly2, grid, b2, arg2, mask)
            - _masked_polar_area(poly1, grid, b1, arg1, mask))

@@ -3,14 +3,25 @@
 A potential assigns a negative value psi_i to each support point xi_i.  Its
 conjugate is phi(eta) = min_i (c(eta, xi_i) - psi_i) with the cost
 c = -ln<eta, xi>; the minimizing indices are the weighted Voronoi memberships
-that the dual oracles of ``solver`` integrate over.  Potentials are stored
-only on the support; phi is always evaluated on demand, never cached as a
-grid array, which avoids stale potential/conjugate pairs.
+that the dual oracles of ``solver`` integrate over.
+
+Both functions of the pair have closed forms on one convex body, the hull K
+of the points e^psi_i xi_i, which holds the origin strictly.  phi = -ln h_K,
+with h_K the support function of K, and the c-concave extension of psi,
+psi^cc(xi) = min_eta (c(eta, xi) - phi(eta)), is ln rho_K, with rho_K the
+radial function of K.  This is the polar duality behind the log cost (Oliker,
+Adv. Math. 2007; Bertrand, Geom. Dedicata 2016).  So psi is c-concave
+exactly when every e^psi_i xi_i lies on the boundary of K, and the extrema
+and the Lipschitz constant of the pair are read off K's facets.
+``double_convexify`` and ``conjugacy_diagnostics`` evaluate these formulas on
+the hull that ``cells.SupportKernel`` builds; ``c_transform`` evaluates phi
+at one direction.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +29,6 @@ import numpy as np
 from .cells import SupportKernel
 from .errors import UncoveredDirectionError
 from .minkowski import DOT_FLOOR, TIE_EPS, validate_dimension
-from .quadrature import QuadratureGrid
 
 logger = logging.getLogger(__name__)
 
@@ -62,12 +72,12 @@ class PotentialVector:
 _kernel_cache: dict[tuple, SupportKernel] = {}
 
 
-def kernel_for(m: int, support: np.ndarray, grid: QuadratureGrid) -> SupportKernel:
-    """Kernel for a (support, grid) pair, cached; runs the pi/2-density check once."""
-    key = (grid.key, support.shape, support.tobytes())
+def kernel_for(m: int, support: np.ndarray) -> SupportKernel:
+    """Kernel for a support set, cached; runs the pi/2-density check once."""
+    key = (support.shape, support.tobytes())
     kern = _kernel_cache.get(key)
     if kern is None:
-        kern = SupportKernel(m, support, grid)
+        kern = SupportKernel(m, support)
         if len(_kernel_cache) > 32:
             _kernel_cache.clear()
         _kernel_cache[key] = kern
@@ -95,21 +105,26 @@ def c_transform(psi: PotentialVector, eta: np.ndarray) -> tuple[float, np.ndarra
     return float(-np.log(best)), arg
 
 
-def grid_conjugate(psi: PotentialVector, grid: QuadratureGrid) -> np.ndarray:
-    """phi evaluated at every grid node."""
-    kern = kernel_for(psi.m, psi.support, grid)
-    return kern.phi_nodes(np.exp(psi.values))
+def _klein_facets(psi: PotentialVector):
+    """Vertex indices, unit outward normals n_f and supports d_f of K's facets."""
+    hull = kernel_for(psi.m, psi.support)._hull(np.exp(psi.values), 0.0)
+    return hull.simplices, hull.equations[:, :-1], -hull.equations[:, -1]
 
 
-def double_convexify(psi: PotentialVector, grid: QuadratureGrid) -> PotentialVector:
-    """Grid-approximate c-concavification: conjugate twice over the grid.
+def _extension(psi: PotentialVector, normals: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """psi^cc at the support points: ln rho_K(xi_i) = -ln max_f <n_f, xi_i> / d_f."""
+    return -np.log(np.max(psi.support @ normals.T / supports, axis=1))
 
-    The result dominates psi pointwise; componentwise max with the input
-    enforces that known inequality against roundoff in the final subtraction.
+
+def double_convexify(psi: PotentialVector) -> PotentialVector:
+    """c-concavification: psi^cc(xi_i) = ln rho_K(xi_i) at every support point.
+
+    psi^cc equals psi_i where e^psi_i xi_i is on the boundary of K and lies
+    above it elsewhere; componentwise max with the input enforces that known
+    inequality against roundoff.
     """
-    phi = grid_conjugate(psi, grid)
-    kern = kernel_for(psi.m, psi.support, grid)
-    raised = kern.conjugate_update(phi)
+    _, normals, supports = _klein_facets(psi)
+    raised = _extension(psi, normals, supports)
     return PotentialVector(psi.m, psi.support, np.maximum(raised, psi.values))
 
 
@@ -120,42 +135,39 @@ class ConjugacyDiagnostics:
     lipschitz_estimate: float
 
 
-def conjugacy_diagnostics(psi: PotentialVector, grid: QuadratureGrid,
+def conjugacy_diagnostics(psi: PotentialVector,
                           concavity_tol: float = 1e-6) -> ConjugacyDiagnostics:
     """Check the min/max pairing identities of the conjugate function pair.
 
     The identities max(phi) + min(psi) = 0 and min(phi) + max(psi) = 0 hold
-    for the pair of functions (phi, psi) on the sphere.  The potential vector
-    only carries psi at its support; between support points the c-concave
-    extension of psi dips lower, so the psi-side extrema are evaluated on the
-    extension (the grid conjugate of phi, probed on grid nodes).  The
-    psi-maximum additionally includes the stored support values, where it is
-    attained: min(phi) equals -max_i(psi_i) exactly, because the cost
-    vanishes on the diagonal; this is the direction with nontrivial grid
-    content.
+    for the pair of functions (phi, psi^cc) on the sphere, and both sides
+    come from K.  phi = -ln h_K is largest at the normal of the facet nearest
+    the origin, where psi^cc = ln rho_K is smallest, ln d_min; phi is
+    evaluated there by ``c_transform``.  phi is smallest at the support
+    point of the largest psi_i, where it equals -max_i(psi_i) exactly,
+    because the cost vanishes on the diagonal; psi^cc is largest at the
+    support points.
 
-    Requires psi to be grid-c-concave up to ``concavity_tol`` (double
-    conjugation moves it by less), otherwise a ValueError is raised.  The
-    Lipschitz estimate is the largest difference quotient of phi over grid
-    edges.
+    Requires psi to be c-concave up to ``concavity_tol`` (double conjugation
+    moves it by less), otherwise a ValueError is raised.  On the normal cone
+    of vertex i, phi = -psi_i - ln<eta, xi_i> has gradient length
+    tan angle(eta, xi_i), largest at a corner of the cone, a facet normal.
+    So the Lipschitz estimate, the largest tan angle(n_f, xi_i) over facets
+    f and their vertices i, is phi's exact Lipschitz constant.
     """
-    moved = np.max(np.abs(double_convexify(psi, grid).values - psi.values))
+    simplices, normals, supports = _klein_facets(psi)
+    ext = _extension(psi, normals, supports)
+    moved = np.max(ext - psi.values, initial=0.0)
     if moved >= concavity_tol:
-        raise ValueError(f"psi is not c-concave on this grid (moved by {moved:.2e})")
-    phi = grid_conjugate(psi, grid)
-    # probe the psi extension on a node subset plus the binding phi extrema
-    stride = max(1, grid.size // 2048)
-    probe_idx = np.unique(np.concatenate([
-        np.arange(0, grid.size, stride),
-        [int(np.argmax(phi)), int(np.argmin(phi))],
-    ]))
-    psi_ext = SupportKernel(psi.m, grid.nodes[probe_idx], grid).conjugate_update(phi)
-    edges = grid.edges()
-    a, b = edges[:, 0], edges[:, 1]
-    dist = np.arccos(np.clip(np.sum(grid.nodes[a] * grid.nodes[b], axis=1), -1.0, 1.0))
-    quotient = np.abs(phi[a] - phi[b]) / np.maximum(dist, 1e-300)
+        raise ValueError(f"psi is not c-concave (moved by {moved:.2e})")
+    low = int(np.argmin(supports))
+    max_phi, _ = c_transform(psi, normals[low])
+    min_phi, _ = c_transform(psi, psi.support[int(np.argmax(psi.values))])
+    corners = psi.support[simplices]                      # (facet, vertex, m+1)
+    cos = np.einsum("fd,fkd->fk", normals, corners)
+    sin = np.linalg.norm(corners - cos[..., None] * normals[:, None], axis=2)
     return ConjugacyDiagnostics(
-        max_phi_plus_min_psi=float(phi.max() + psi_ext.min()),
-        min_phi_plus_max_psi=float(phi.min() + max(psi_ext.max(), psi.values.max())),
-        lipschitz_estimate=float(quotient.max()),
+        max_phi_plus_min_psi=float(max_phi + math.log(supports[low])),
+        min_phi_plus_max_psi=float(min_phi + max(ext.max(), psi.values.max())),
+        lipschitz_estimate=float(np.max(sin / cos)),
     )

@@ -40,10 +40,6 @@ class QuadratureGrid:
     def size(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def key(self) -> tuple:
-        return (self.m, self.level)
-
     def edges(self) -> np.ndarray:
         """Unique node-index pairs joined by a grid edge."""
         if self.m == 1:

@@ -24,7 +24,7 @@ The dual objective
 
 its gradient (component i: a_i g(psi_i) minus the mass of cell i) and the
 per-cell transport residuals stay as oracles independent of the solve, exact
-over the cells (``cells``); their grid argument only keys the kernel.  Cell
+over the cells (``cells``); their grid argument is not read.  Cell
 i's mass is cosh(r_i) alpha_i, and g(psi_i) = cosh(r_i), so the gradient
 vanishes exactly where alpha = a.
 """
@@ -103,7 +103,7 @@ def dual_objective(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
                    grid: QuadratureGrid) -> float:
     """K(psi): sphere integral of F(phi) plus the mu-weighted sum of G(psi)."""
     values = _values(psi)
-    kernel = kernel_for(mu.m, mu.points, grid)
+    kernel = kernel_for(mu.m, mu.points)
     _, f_total = kernel.cell_sums(np.exp(values), want_objective=True)
     return f_total + math.fsum(mu.weights * G_psi(values))
 
@@ -112,7 +112,7 @@ def dual_gradient(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
                   grid: QuadratureGrid) -> np.ndarray:
     """Gradient of K: component i is a_i g(psi_i) minus the mass of cell i."""
     values = _values(psi)
-    kernel = kernel_for(mu.m, mu.points, grid)
+    kernel = kernel_for(mu.m, mu.points)
     masses, _ = kernel.cell_sums(np.exp(values))
     return mu.weights * g_psi(values) - masses
 
@@ -121,7 +121,7 @@ def transport_residuals(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
                         grid: QuadratureGrid) -> np.ndarray:
     """Relative per-cell transport balance |cell mass - a_i g(psi_i)| / (a_i g)."""
     values = _values(psi)
-    kernel = kernel_for(mu.m, mu.points, grid)
+    kernel = kernel_for(mu.m, mu.points)
     masses, _ = kernel.cell_sums(np.exp(values))
     target = mu.weights * g_psi(values)
     return np.abs(masses - target) / target

@@ -193,11 +193,11 @@ class TestCurvatureMeasures:
             assert np.abs(alpha / expected - 1.0).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [3, 64, 1024, 8192])
-    def test_regular_polygon_grid_masses_closed_form(self, n, grid_m1):
+    def test_regular_polygon_grid_masses_closed_form(self, n):
         # the cell of a regular polygon vertex carries 2/c atan(tan(pi/n)/c),
         # c = sech r; at n = 8192 a cell is narrower than a level-6 grid step
         dirs = dirs_from_angles(2.0 * np.pi * np.arange(n) / n)
-        kernel = SupportKernel(1, dirs, grid_m1)
+        kernel = SupportKernel(1, dirs)
         for r in (0.01, 0.5, 1.0, 3.0):
             masses, _ = kernel.cell_sums(np.full(n, np.tanh(r)))
             c = 1.0 / np.cosh(r)
@@ -231,6 +231,18 @@ class TestCurvatureMeasures:
         alpha = curvature_measure_angles(body).weights[perm]
         assert np.abs(curvature_measure_angles(moved).weights / alpha - 1.0).max() <= 1e-12
         assert len(moved.simplices) == len(body.simplices)
+
+    @pytest.mark.parametrize("m, low, high", [(1, 4, 32), (2, 5, 30)])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_forward_routes_agree_per_atom(self, m, low, high, data, grid_m1, grid_m2):
+        # the cone integrals and the corner formula are two exact routes
+        n = data.draw(st.integers(low, high), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        body = random_polytope(m, n, rng)
+        by_cones = curvature_measure_integral(body, grid_m1 if m == 1 else grid_m2).weights
+        by_angles = curvature_measure_angles(body).weights
+        assert np.abs(by_cones / by_angles - 1.0).max() <= 1e-12
 
     def test_euclidean_limit_square(self):
         tiny = regular_polygon(4, 1e-4)

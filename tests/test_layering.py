@@ -1,0 +1,53 @@
+"""The conjugacy and kernel layers stand on exact hull geometry alone.
+
+Only the Crofton area side and the tests read quadrature grids.  These
+tests follow each module's package-relative imports, transitively, and
+fail if ``hypcurv.quadrature`` is reached.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hypcurv
+
+PACKAGE = Path(hypcurv.__file__).resolve().parent
+
+
+def _package_imports(module: str) -> set[str]:
+    """Modules of the package that ``module`` imports directly."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("hypcurv."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("hypcurv."))
+    return found
+
+
+def _reached(module: str) -> set[str]:
+    seen, todo = set(), [module]
+    while todo:
+        current = todo.pop()
+        for name in _package_imports(current) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def test_import_walk_sees_quadrature_where_it_is_used():
+    assert "quadrature" in _package_imports("crofton")
+    assert "quadrature" in _reached("solver")
+
+
+@pytest.mark.parametrize("module", ["cells", "ctransform"])
+def test_kernel_and_conjugacy_do_not_import_quadrature(module):
+    assert "quadrature" not in _reached(module)

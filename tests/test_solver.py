@@ -85,7 +85,7 @@ def test_objective_increases_under_double_convexify(grid_m1):
     mu = hc.curvature_measure_integral(poly, grid_m1)
     vals = np.log(np.tanh(poly.radii)) - rng.uniform(0.0, 1.0, size=5)
     psi = hc.PotentialVector(1, mu.points, vals)
-    better = hc.double_convexify(psi, grid_m1)
+    better = hc.double_convexify(psi)
     assert dual_objective(better, mu, grid_m1) >= dual_objective(psi, mu, grid_m1) - 1e-12
 
 
