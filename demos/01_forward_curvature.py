@@ -13,10 +13,9 @@ import hypcurv as hc
 
 print("== square in the hyperbolic plane (m = 1) ==")
 square = hc.regular_polygon(4, 1.0)
-grid1 = hc.build_grid(1, 6)
 
 by_angles = hc.curvature_measure_angles(square)
-by_integral = hc.curvature_measure_integral(square, grid1)
+by_integral = hc.curvature_measure_integral(square)
 print("exterior angles:  ", np.round(by_angles.weights, 10))
 print("area integral:    ", np.round(by_integral.weights, 10))
 print("max difference:   ", np.abs(by_angles.weights - by_integral.weights).max())
@@ -31,10 +30,9 @@ print("== octahedron in hyperbolic 3-space (m = 2) ==")
 octa_dirs = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0],
                       [0, -1, 0], [0, 0, 1], [0, 0, -1]])
 octa = hc.from_vertices(2, octa_dirs, np.ones(6))
-grid2 = hc.build_grid(2, 6)
 
 by_angles = hc.curvature_measure_angles(octa)
-by_integral = hc.curvature_measure_integral(octa, grid2)
+by_integral = hc.curvature_measure_integral(octa)
 print("exterior solid angles:", np.round(by_angles.weights, 6))
 print("area integral:        ", np.round(by_integral.weights, 6))
 print("total vs 4*pi:        ", by_angles.weights.sum(), ">", 4 * np.pi)
@@ -42,8 +40,8 @@ print("total vs 4*pi:        ", by_angles.weights.sum(), ">", 4 * np.pi)
 print()
 print("== fine inscribed polytopes approach the smooth ball values ==")
 ball1 = hc.regular_polygon(256, 1.0)
-print("m=1 ball total:", hc.polar_boundary_area(ball1, grid1),
+print("m=1 ball total:", hc.polar_boundary_area(ball1),
       " smooth value 2*pi*cosh(1) =", 2 * np.pi * np.cosh(1.0))
 ball2 = hc.icosphere_body(3, 1.0)
-print("m=2 ball total:", hc.polar_boundary_area(ball2, grid2),
+print("m=2 ball total:", hc.polar_boundary_area(ball2),
       " smooth value 4*pi*cosh^2(1) =", 4 * np.pi * np.cosh(1.0) ** 2)

@@ -15,8 +15,7 @@ import hypcurv as hc
 print("== round trip on a random pentagon (m = 1) ==")
 rng = np.random.default_rng(7)
 poly = hc.random_polytope(1, 5, rng)
-grid = hc.build_grid(1, 6)
-mu = hc.curvature_measure_integral(poly, grid)
+mu = hc.curvature_measure_integral(poly)
 
 report = hc.solve(mu)
 print(f"converged: {report.converged} in {report.iterations} iterations "
@@ -48,7 +47,6 @@ print("== m = 2: octahedron round trip ==")
 octa_dirs = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0],
                       [0, -1, 0], [0, 0, 1], [0, 0, -1]])
 octa = hc.from_vertices(2, octa_dirs, np.ones(6))
-grid2 = hc.build_grid(2, 6)
-mu3 = hc.curvature_measure_integral(octa, grid2)
+mu3 = hc.curvature_measure_integral(octa)
 report3 = hc.solve(mu3)
 print(f"converged: {report3.converged}, radii:", np.round(report3.body.radii, 6))

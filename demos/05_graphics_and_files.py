@@ -18,8 +18,7 @@ out.mkdir(exist_ok=True)
 
 rng = np.random.default_rng(11)
 poly = hc.random_polytope(1, 6, rng)
-grid = hc.build_grid(1, 6)
-mu = hc.curvature_measure_integral(poly, grid)
+mu = hc.curvature_measure_integral(poly)
 
 hio.save_body(poly, out / "body.json")
 hio.save_measure(mu, out / "measure.json")

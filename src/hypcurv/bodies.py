@@ -43,7 +43,7 @@ from .minkowski import (
     unit_rows,
     validate_dimension,
 )
-from .quadrature import QuadratureGrid, build_grid
+from .quadrature import build_grid
 
 # Strict interiority threshold for the basepoint, in Klein support distance.
 MIN_SUPPORT = 1e-6
@@ -181,12 +181,14 @@ def t_map(poly: HyperbolicPolytope, eta: np.ndarray) -> np.ndarray:
 # -- curvature measures ----------------------------------------------------
 
 
-def curvature_measure_integral(poly: HyperbolicPolytope, grid: QuadratureGrid):
+def curvature_measure_integral(poly: HyperbolicPolytope, grid=None):
     """Curvature weights from the polar-boundary area density.
 
     alpha_i integrates cosh^{m+1}(h) over the normal cone of vertex i
-    (``cells.SupportKernel``) and divides by cosh(r_i); the grid is not read.
-    Returns a DiscreteMeasure supported on the vertex directions.
+    (``cells.SupportKernel``) and divides by cosh(r_i).  Returns a
+    DiscreteMeasure supported on the vertex directions.  ``grid`` is not
+    read; it is accepted so that positional calls that pass a quadrature
+    grid keep working.
     """
     kernel = SupportKernel(poly.m, poly.directions)
     masses, _ = kernel.cell_sums(np.tanh(poly.radii))
@@ -194,9 +196,9 @@ def curvature_measure_integral(poly: HyperbolicPolytope, grid: QuadratureGrid):
     return DiscreteMeasure(poly.m, poly.directions, weights)
 
 
-def polar_boundary_area(poly: HyperbolicPolytope, grid: QuadratureGrid) -> float:
+def polar_boundary_area(poly: HyperbolicPolytope) -> float:
     """Total area of the polar boundary: the curvature measure's total mass."""
-    measure = curvature_measure_integral(poly, grid)
+    measure = curvature_measure_integral(poly)
     return math.fsum(measure.weights)
 
 

@@ -24,15 +24,12 @@ from .bodies import (
 from .crofton import crofton_compare
 from .errors import HypcurvError, PreconditionError
 from .measures import DiscreteMeasure, check_conditions
-from .quadrature import build_grid
 from .solver import SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
-
-DEFAULT_GRID_LEVEL = 6
 
 
 def _emit_error(args, code: int, exc: Exception) -> int:
@@ -52,11 +49,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _cell_grid(m: int):
-    # the cell integrals do not read the grid, so the coarsest one serves
-    return build_grid(m, 0)
-
-
 def _cmd_check(args) -> int:
     mu = hio.load_measure(args.measure)
     report = check_conditions(mu)
@@ -64,8 +56,8 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_VALIDATION
 
 
-def _forward_payload(poly, grid) -> tuple[dict, DiscreteMeasure]:
-    integral = curvature_measure_integral(poly, grid)
+def _forward_payload(poly) -> tuple[dict, DiscreteMeasure]:
+    integral = curvature_measure_integral(poly)
     angles = curvature_measure_angles(poly)
     diff = np.abs(integral.weights - angles.weights)
     payload = {
@@ -77,7 +69,7 @@ def _forward_payload(poly, grid) -> tuple[dict, DiscreteMeasure]:
         "total_integral": float(integral.weights.sum()),
         "total_angles": float(angles.weights.sum()),
         "max_abs_weight_diff": float(diff.max()),
-        "polar_boundary_area": polar_boundary_area(poly, grid),
+        "polar_boundary_area": polar_boundary_area(poly),
     }
     if poly.m == 1:
         area = polygon_area_m1(poly)
@@ -90,7 +82,7 @@ def _forward_payload(poly, grid) -> tuple[dict, DiscreteMeasure]:
 
 def _cmd_forward(args) -> int:
     poly = hio.load_body(args.body)
-    payload, integral = _forward_payload(poly, _cell_grid(poly.m))
+    payload, integral = _forward_payload(poly)
     out = _out_dir(args)
     hio.save_report(payload, out / "forward_report.json")
     hio.save_measure(integral, out / "curvature_measure.json")
@@ -149,7 +141,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     poly = hio.load_body(args.body)
-    mu = curvature_measure_integral(poly, _cell_grid(poly.m))
+    mu = curvature_measure_integral(poly)
     report = solve(mu, _solve_config(args), force=args.force)
     rows = []
     max_rel = np.inf
@@ -176,8 +168,7 @@ def _cmd_roundtrip(args) -> int:
 def _cmd_crofton(args) -> int:
     poly1 = hio.load_body(args.body1)
     poly2 = hio.load_body(args.body2)
-    grid = build_grid(poly1.m, args.grid_level)
-    report = crofton_compare(poly1, poly2, grid, n_samples=args.samples,
+    report = crofton_compare(poly1, poly2, n_samples=args.samples,
                              h_cap=args.h_cap, seed=args.seed)
     out = _out_dir(args)
     hio.save_report(report.to_dict(), out / "crofton_report.json")
@@ -276,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("body2")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--h-cap", type=float, default=None)
-    p.add_argument("--grid-level", type=int, default=DEFAULT_GRID_LEVEL,
-                   help="quadrature refinement level of the area side "
-                        f"(default {DEFAULT_GRID_LEVEL})")
     common(p, seed=True)
     p.set_defaults(func=_cmd_crofton)
 

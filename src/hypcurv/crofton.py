@@ -28,10 +28,12 @@ above body 1's: membership in the other body's arc, with no evaluation of
 either support function.  A partition-and-bisection fallback handles
 arbitrary support callables.
 
-The area side integrates f(b) / cosh(r_i) over the grid nodes, with b = tanh h
-each node's best score max_i tanh(r_i) <eta, xi_i>, formed in blocks of
-``_BLOCK_ENTRIES`` dot products (``_node_scores``).  It is the one part of
-the package that reads grid nodes.
+The area side is exact.  Each polar-boundary area is the sum of the cell
+masses of ``cells.SupportKernel`` divided by cosh(r_i)
+(``bodies.polar_boundary_area``).  Over omega = {h1 < h2} the hull K of
+both bodies' Klein points has support max(h1, h2), so its polar boundary is
+body 2's over omega and body 1's elsewhere, and the difference over omega is
+|Sigma_K| - |Sigma_1|.  No grid is read.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import HyperbolicPolytope
-from .densities import f_of_b
-from .errors import UncoveredDirectionError
+from .bodies import HyperbolicPolytope, polar_boundary_area
+from .cells import SupportKernel
 from .minkowski import hyperbolic_point, validate_dimension
-from .quadrature import QuadratureGrid
 
 # a span within this of pi, or a lower-omega crossing within this of an end
 # of the other body's arc, marks the geodesic as grazing: excluded as unstable
@@ -54,14 +54,8 @@ _TANGENT_TOL = 1e-9
 # sign-change bracketing points of the bisection fallback
 _N_PARTITION = 2048
 
-# allowance for the grid quadrature of the area difference in the agreement flag
-_QUADRATURE_TOL = 1e-3
-
 # samples per block of the tangent search, which bounds its temporaries
 _BLOCK = 1 << 14
-
-# entries of one (grid rows x vertices) block of the area side's dot products
-_BLOCK_ENTRIES = 2_000_000
 
 _CROFTON_FACTOR = {1: 0.5, 2: 1.0 / np.pi}  # m / |S^{m-1}|
 
@@ -363,39 +357,36 @@ class CroftonReport:
         }
 
 
-def _node_scores(grid: QuadratureGrid, points: np.ndarray,
-                 s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best score b = max_i s_i <eta, xi_i> and attaining index at every grid node."""
-    best = np.empty(grid.size)
-    arg = np.empty(grid.size, dtype=int)
-    rows = max(1, _BLOCK_ENTRIES // max(len(points), 1))
-    for lo in range(0, grid.size, rows):
-        scores = (grid.nodes[lo:lo + rows] @ points.T) * s
-        best[lo:lo + rows] = scores.max(axis=1)
-        arg[lo:lo + rows] = scores.argmax(axis=1)
-    if best.min() <= 0.0:
-        raise UncoveredDirectionError(grid.nodes[int(np.argmin(best))])
-    return best, arg
+def _area_side(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope, omega: str) -> float:
+    """|Sigma_2 cap omega| - |Sigma_1 cap omega|, exactly over the cells.
 
-
-def _masked_polar_area(poly: HyperbolicPolytope, grid: QuadratureGrid, best: np.ndarray,
-                       arg: np.ndarray, mask: np.ndarray) -> float:
-    """Polar-boundary area over the masked nodes, from their best scores and vertices."""
-    density = f_of_b(best, poly.m) / np.cosh(poly.radii[arg])
-    return math.fsum(grid.weights[mask] * density[mask])
+    For omega = {h1 < h2} body 2's area is that of the hull K of both bodies'
+    Klein points, whose polar boundary is body 1's outside omega.  A point
+    that is no vertex of K has an empty cell, so the points need not be
+    extreme or distinct.
+    """
+    area1 = polar_boundary_area(poly1)
+    if omega == "full":
+        return polar_boundary_area(poly2) - area1
+    directions = np.concatenate([poly1.directions, poly2.directions])
+    radii = np.concatenate([poly1.radii, poly2.radii])
+    masses, _ = SupportKernel(poly1.m, directions).cell_sums(np.tanh(radii))
+    return math.fsum(masses / np.cosh(radii)) - area1
 
 
 def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
-                    grid: QuadratureGrid, n_samples: int = 100_000,
+                    grid=None, n_samples: int = 100_000,
                     h_cap: float | None = None, seed: int = 0,
                     omega: str = "lower") -> CroftonReport:
     """Compare polar-area differences of two bodies with the kinematic estimate.
 
     ``omega`` selects the region: "lower" restricts both boundary graphs to
     the set {h1 < h2}, "full" uses the whole sphere.  The left side is the
-    quadrature area difference |Sigma_2| - |Sigma_1|; the right side averages
-    per-geodesic count differences.  The agreement flag tests
-    |lhs - rhs| <= 3*stderr + ``_QUADRATURE_TOL``.
+    area difference |Sigma_2| - |Sigma_1| over omega, exact over the cells
+    (``_area_side``); the right side averages per-geodesic count
+    differences.  The agreement flag tests |lhs - rhs| <= 3*stderr.
+    ``grid`` is not read; it is accepted so that positional calls that pass
+    a quadrature grid keep working.
     """
     m = poly1.m
     if poly2.m != m:
@@ -405,11 +396,7 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
     if h_cap is None:
         h_cap = float(max(poly1.radii.max(), poly2.radii.max()) + 0.5)
 
-    (b1, arg1), (b2, arg2) = (_node_scores(grid, p.directions, np.tanh(p.radii))
-                              for p in (poly1, poly2))
-    mask = (b1 < b2) if omega == "lower" else np.ones(grid.size, dtype=bool)
-    lhs = (_masked_polar_area(poly2, grid, b2, arg2, mask)
-           - _masked_polar_area(poly1, grid, b1, arg1, mask))
+    lhs = _area_side(poly1, poly2, omega)
 
     samples = sample_geodesics(m, n_samples, h_cap, seed)
     hits1, tan1, lo1, hi1 = _poly_crossings(samples, poly1)
@@ -441,7 +428,7 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
     mean = float(diff.mean())
     rhs = factor * mean
     stderr = factor * float(diff.std(ddof=1)) / np.sqrt(n_used)
-    agree = abs(lhs - rhs) <= 3.0 * stderr + _QUADRATURE_TOL
+    agree = abs(lhs - rhs) <= 3.0 * stderr
     vals, freqs = np.unique(diff, return_counts=True)
     return CroftonReport(
         lhs=float(lhs),

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bodies import HyperbolicPolytope, from_vertices, support_fn
+from .bodies import HyperbolicPolytope, from_vertices, icosphere_body, support_fn
 from .measures import DiscreteMeasure
 from .minkowski import unit_rows
 
@@ -142,17 +142,16 @@ def _oriented_faces(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 def body_obj(poly: HyperbolicPolytope, polar_level: int = 3) -> str:
     """Wavefront OBJ with two groups: the Klein hull mesh of an m=2 body and
-    the Klein projection of its polar boundary graph (a radial mesh)."""
+    the Klein projection of its polar boundary graph (a radial mesh over the
+    icosphere of level ``polar_level``)."""
     if poly.m != 2:
         raise ValueError("OBJ emission is for m = 2 bodies")
-    from .quadrature import build_grid
-
     hull_faces = _oriented_faces(poly.klein_vertices, poly.simplices)
 
-    sphere = build_grid(2, polar_level)
-    h = support_fn(poly, sphere.nodes)
-    polar_pts = (np.cosh(h) / np.sinh(h))[:, None] * sphere.nodes
-    polar_faces = _oriented_faces(sphere.nodes, sphere.triangles)
+    sphere = icosphere_body(polar_level, 1.0)
+    h = support_fn(poly, sphere.directions)
+    polar_pts = (np.cosh(h) / np.sinh(h))[:, None] * sphere.directions
+    polar_faces = _oriented_faces(sphere.directions, sphere.simplices)
 
     lines = ["o klein_hull"]
     for v in poly.klein_vertices:

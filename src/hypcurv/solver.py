@@ -24,8 +24,7 @@ The dual objective
 
 its gradient (component i: a_i g(psi_i) minus the mass of cell i) and the
 per-cell transport residuals stay as oracles independent of the solve, exact
-over the cells (``cells``); their grid argument is not read.  Cell
-i's mass is cosh(r_i) alpha_i, and g(psi_i) = cosh(r_i), so the gradient
+over the cells (``cells``).  Cell i's mass is cosh(r_i) alpha_i, and g(psi_i) = cosh(r_i), so the gradient
 vanishes exactly where alpha = a.
 """
 
@@ -44,7 +43,6 @@ from .errors import HypcurvError, PreconditionError
 from .measures import (EXHAUSTIVE_MAX_ATOMS, ConditionReport, DiscreteMeasure,
                        check_conditions, mass_violation)
 from .minkowski import sphere_measure
-from .quadrature import QuadratureGrid
 
 # The line search gives up once the step factor falls below this.
 MIN_DAMPING = 1e-10
@@ -99,8 +97,7 @@ def _values(psi: PotentialVector | np.ndarray) -> np.ndarray:
     return psi.values if isinstance(psi, PotentialVector) else np.asarray(psi, float)
 
 
-def dual_objective(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
-                   grid: QuadratureGrid) -> float:
+def dual_objective(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure) -> float:
     """K(psi): sphere integral of F(phi) plus the mu-weighted sum of G(psi)."""
     values = _values(psi)
     kernel = kernel_for(mu.m, mu.points)
@@ -108,8 +105,7 @@ def dual_objective(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
     return f_total + math.fsum(mu.weights * G_psi(values))
 
 
-def dual_gradient(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
-                  grid: QuadratureGrid) -> np.ndarray:
+def dual_gradient(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure) -> np.ndarray:
     """Gradient of K: component i is a_i g(psi_i) minus the mass of cell i."""
     values = _values(psi)
     kernel = kernel_for(mu.m, mu.points)
@@ -117,8 +113,7 @@ def dual_gradient(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
     return mu.weights * g_psi(values) - masses
 
 
-def transport_residuals(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure,
-                        grid: QuadratureGrid) -> np.ndarray:
+def transport_residuals(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure) -> np.ndarray:
     """Relative per-cell transport balance |cell mass - a_i g(psi_i)| / (a_i g)."""
     values = _values(psi)
     kernel = kernel_for(mu.m, mu.points)

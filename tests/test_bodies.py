@@ -20,6 +20,7 @@ from hypcurv.bodies import (
     t_map,
 )
 from hypcurv.cells import SupportKernel
+from hypcurv.minkowski import random_unit_vectors
 
 
 def dirs_from_angles(angles):
@@ -148,39 +149,39 @@ class TestSupportRadial:
 
 
 class TestCurvatureMeasures:
-    def test_square_weights_equal(self, square, grid_m1):
-        mi = curvature_measure_integral(square, grid_m1)
+    def test_square_weights_equal(self, square):
+        mi = curvature_measure_integral(square)
         assert np.abs(mi.weights - mi.weights[0]).max() < 1e-12
 
-    def test_two_methods_agree_m1(self, grid_m1):
+    def test_two_methods_agree_m1(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             poly = random_polytope(1, int(rng.integers(4, 9)), rng)
-            a = curvature_measure_integral(poly, grid_m1).weights
+            a = curvature_measure_integral(poly).weights
             b = curvature_measure_angles(poly).weights
             assert np.abs(a - b).max() < 1e-6
 
-    def test_two_methods_agree_m2(self, octahedron, grid_m2):
-        a = curvature_measure_integral(octahedron, grid_m2).weights
+    def test_two_methods_agree_m2(self, octahedron):
+        a = curvature_measure_integral(octahedron).weights
         b = curvature_measure_angles(octahedron, ).weights
         assert np.abs(a - b).max() < 2e-2 * b.max()
 
-    def test_grid_route_keeps_icosahedral_symmetry(self, grid_m2):
+    def test_grid_route_keeps_icosahedral_symmetry(self):
         # the cells are integrated over their normal cones, so vertices that
         # a symmetry of the body exchanges carry the same mass to rounding
         body = hc.icosphere_body(1, 1.0)
-        weights = curvature_measure_integral(body, grid_m2).weights
+        weights = curvature_measure_integral(body).weights
         icosahedral, others = weights[:12], weights[12:]  # valence 5 and 6
         assert np.ptp(icosahedral) <= 1e-12
         assert np.ptp(others) <= 1e-12
 
-    def test_cone_route_matches_angles_m2(self, grid_m2):
+    def test_cone_route_matches_angles_m2(self):
         # criterion 04's 50 random bodies and two icosphere bodies
         rng = np.random.default_rng(4048)
         bodies = [random_polytope(2, int(rng.integers(6, 11)), rng) for _ in range(50)]
         bodies += [hc.icosphere_body(level, 1.0) for level in (2, 3)]
         for body in bodies:
-            a = curvature_measure_integral(body, grid_m2).weights
+            a = curvature_measure_integral(body).weights
             b = curvature_measure_angles(body).weights
             assert np.abs(a / b - 1.0).max() <= 1e-12
 
@@ -235,12 +236,12 @@ class TestCurvatureMeasures:
     @pytest.mark.parametrize("m, low, high", [(1, 4, 32), (2, 5, 30)])
     @settings(max_examples=30)
     @given(data=st.data())
-    def test_forward_routes_agree_per_atom(self, m, low, high, data, grid_m1, grid_m2):
+    def test_forward_routes_agree_per_atom(self, m, low, high, data):
         # the cone integrals and the corner formula are two exact routes
         n = data.draw(st.integers(low, high), label="n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         body = random_polytope(m, n, rng)
-        by_cones = curvature_measure_integral(body, grid_m1 if m == 1 else grid_m2).weights
+        by_cones = curvature_measure_integral(body).weights
         by_angles = curvature_measure_angles(body).weights
         assert np.abs(by_cones / by_angles - 1.0).max() <= 1e-12
 
@@ -257,33 +258,33 @@ class TestCurvatureMeasures:
         total = curvature_measure_angles(small).weights.sum()
         assert total == pytest.approx(4 * np.pi, rel=1e-4)
 
-    def test_total_mass_identity(self, grid_m1):
+    def test_total_mass_identity(self):
         rng = np.random.default_rng(7)
         poly = random_polytope(1, 6, rng)
-        mi = curvature_measure_integral(poly, grid_m1)
-        assert polar_boundary_area(poly, grid_m1) == pytest.approx(
+        mi = curvature_measure_integral(poly)
+        assert polar_boundary_area(poly) == pytest.approx(
             math.fsum(mi.weights), abs=1e-12
         )
 
-    def test_total_exceeds_sphere(self, grid_m1, grid_m2, octahedron):
+    def test_total_exceeds_sphere(self, octahedron):
         rng = np.random.default_rng(8)
         poly = random_polytope(1, 5, rng)
-        assert polar_boundary_area(poly, grid_m1) > 2 * np.pi
-        assert polar_boundary_area(octahedron, grid_m2) > 4 * np.pi
+        assert polar_boundary_area(poly) > 2 * np.pi
+        assert polar_boundary_area(octahedron) > 4 * np.pi
 
-    def test_inclusion_monotonicity_strict(self, grid_m1):
+    def test_inclusion_monotonicity_strict(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             outer = random_polytope(1, 6, rng)
             inner_radii = np.arctanh(0.8 * np.tanh(outer.radii))
             inner = from_vertices(1, outer.directions, inner_radii)
-            a = polar_boundary_area(inner, grid_m1)
-            b = polar_boundary_area(outer, grid_m1)
+            a = polar_boundary_area(inner)
+            b = polar_boundary_area(outer)
             assert a < b
 
 
 class TestAreaAndIsometry:
-    def test_gauss_bonnet_identity(self, grid_m1):
+    def test_gauss_bonnet_identity(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             poly = random_polytope(1, int(rng.integers(4, 9)), rng)
@@ -320,11 +321,24 @@ class TestAreaAndIsometry:
         back = apply_isometry(there, d, -0.4)
         assert np.abs(np.sort(back.radii) - np.sort(square.radii)).max() < 1e-9
 
-    def test_boost_preserves_total_curvature(self, grid_m1):
+    def test_boost_preserves_total_curvature(self):
         ball = regular_polygon(64, 1.0)
-        base = polar_boundary_area(ball, grid_m1)
+        base = polar_boundary_area(ball)
         moved = apply_isometry(ball, np.array([1.0, 0.0]), 0.3)
-        assert polar_boundary_area(moved, grid_m1) == pytest.approx(base, rel=1e-3)
+        assert polar_boundary_area(moved) == pytest.approx(base, rel=1e-3)
+
+    @pytest.mark.parametrize("m, low, high", [(1, 4, 24), (2, 5, 14)])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_boost_keeps_polar_boundary_area(self, m, low, high, data):
+        # a boost shorter than the distance to the nearest facet plane keeps
+        # the basepoint inside, and the polar boundary area is an invariant
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        body = random_polytope(m, data.draw(st.integers(low, high), label="n"), rng)
+        reach = np.arctanh(body.facet_supports.min())
+        length = data.draw(st.floats(0.0, 0.9), label="fraction") * reach
+        moved = apply_isometry(body, random_unit_vectors(m, 1, rng)[0], length)
+        assert abs(polar_boundary_area(moved) / polar_boundary_area(body) - 1.0) <= 1e-12
 
     def test_boost_outside_raises(self, square):
         d = np.array([np.cos(0.7), np.sin(0.7)])

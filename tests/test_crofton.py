@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypcurv as hc
 from hypcurv.crofton import (
     GeodesicSample,
     GeodesicSampleSet,
     _arcs,
+    _area_side,
     _form_extremes_search,
     _form_extremes_sweep,
     count_intersections,
     crofton_compare,
     sample_geodesics,
 )
+from hypcurv.densities import f_of_b
 
 
 def test_radial_sampling_cdf():
@@ -91,45 +97,43 @@ class TestCounts:
 
 
 class TestCompare:
-    def test_identical_bodies_cancel_exactly(self, grid_m1):
+    def test_identical_bodies_cancel_exactly(self):
         body = hc.regular_polygon(12, 0.7)
-        rep = crofton_compare(body, body, grid_m1, n_samples=2000, seed=0, omega="full")
+        rep = crofton_compare(body, body, n_samples=2000, seed=0, omega="full")
         assert rep.lhs == 0.0
         assert rep.rhs == 0.0
         assert rep.mean_diff == 0.0
 
-    def test_ball_pair_matches_analytic(self, grid_m1):
+    def test_ball_pair_matches_analytic(self):
         b1 = hc.regular_polygon(256, 0.5)
         b2 = hc.regular_polygon(256, 1.0)
-        rep = crofton_compare(b1, b2, grid_m1, n_samples=30_000, seed=7)
+        rep = crofton_compare(b1, b2, n_samples=30_000, seed=7)
         analytic = 2 * np.pi * (np.cosh(1.0) - np.cosh(0.5))
         assert rep.lhs == pytest.approx(analytic, abs=2e-3)
-        assert abs(rep.lhs - rep.rhs) <= 3 * rep.stderr + 1e-3
+        assert abs(rep.lhs - rep.rhs) <= 3 * rep.stderr
         assert rep.agree
         assert set(rep.diff_counts) <= {0, 2}
         assert rep.rhs > 0
 
-    def test_nested_pairs_monotone_and_nonnegative(self, grid_m1):
+    def test_nested_pairs_monotone_and_nonnegative(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             outer = hc.random_polytope(1, 6, rng)
             inner = hc.from_vertices(1, outer.directions,
                                      np.arctanh(0.75 * np.tanh(outer.radii)))
-            rep = crofton_compare(inner, outer, grid_m1, n_samples=4000, seed=1)
+            rep = crofton_compare(inner, outer, n_samples=4000, seed=1)
             assert rep.mean_diff >= 0.0
             assert set(rep.diff_counts) <= {0, 2}
-            assert hc.polar_boundary_area(inner, grid_m1) <= hc.polar_boundary_area(
-                outer, grid_m1
-            )
+            assert hc.polar_boundary_area(inner) <= hc.polar_boundary_area(outer)
 
-    def test_crossing_pair_lower_omega_matches_bisection_oracle(self, grid_m1):
+    def test_crossing_pair_lower_omega_matches_bisection_oracle(self):
         # neither body contains the other, so omega = {h1 < h2} is a proper
         # part of the sphere and each crossing is kept or dropped by it
         b1 = hc.regular_polygon(5, 1.0)
         turned = 2.0 * np.pi * np.arange(5) / 5 + np.pi / 5
         b2 = hc.from_vertices(1, np.column_stack([np.cos(turned), np.sin(turned)]),
                               np.full(5, 1.0))
-        rep = crofton_compare(b1, b2, grid_m1, n_samples=200, seed=4)
+        rep = crofton_compare(b1, b2, n_samples=200, seed=4)
         samples = sample_geodesics(1, 200, rep.h_cap, seed=4)
         h1 = lambda etas: hc.support_fn(b1, etas)
         h2 = lambda etas: hc.support_fn(b2, etas)
@@ -146,37 +150,142 @@ class TestCompare:
         assert rep.diff_counts == {int(v): int(c) for v, c in zip(vals, counts)}
         assert rep.mean_diff == pytest.approx(np.mean(diffs), abs=1e-15)
 
-    def test_stderr_scaling(self, grid_m1):
+    def test_stderr_scaling(self):
         b1 = hc.regular_polygon(32, 0.5)
         b2 = hc.regular_polygon(32, 1.0)
-        r1 = crofton_compare(b1, b2, grid_m1, n_samples=4000, seed=2)
-        r2 = crofton_compare(b1, b2, grid_m1, n_samples=16_000, seed=2)
+        r1 = crofton_compare(b1, b2, n_samples=4000, seed=2)
+        r2 = crofton_compare(b1, b2, n_samples=16_000, seed=2)
         assert r2.stderr == pytest.approx(r1.stderr / 2.0, rel=0.2)
 
     def test_m2_experimental_ball_pair(self):
-        grid = hc.build_grid(2, 4)
         b1 = hc.icosphere_body(2, 0.5)
         b2 = hc.icosphere_body(2, 1.0)
-        rep = crofton_compare(b1, b2, grid, n_samples=40_000, seed=3)
+        rep = crofton_compare(b1, b2, n_samples=40_000, seed=3)
         assert abs(rep.lhs - rep.rhs) <= 3 * rep.stderr + 5e-2
         assert rep.rhs > 0
 
-    def test_input_validation(self, grid_m1):
+    def test_input_validation(self):
         body = hc.regular_polygon(8, 0.5)
         with pytest.raises(ValueError):
-            crofton_compare(body, body, grid_m1, omega="sideways")
+            crofton_compare(body, body, omega="sideways")
         with pytest.raises(ValueError):
             sample_geodesics(1, 0, 1.0, seed=0)
         with pytest.raises(ValueError):
             sample_geodesics(1, 10, -1.0, seed=0)
 
 
-def test_report_roundtrips_to_dict(grid_m1):
+def test_report_roundtrips_to_dict():
     b1 = hc.regular_polygon(16, 0.5)
     b2 = hc.regular_polygon(16, 1.0)
-    rep = crofton_compare(b1, b2, grid_m1, n_samples=1000, seed=0)
+    rep = crofton_compare(b1, b2, n_samples=1000, seed=0)
     d = rep.to_dict()
     assert set(d) >= {"lhs", "rhs", "stderr", "agree", "samples_used"}
+
+
+# -- the exact area side -------------------------------------------------------
+
+
+def _node_scores(nodes, directions, radii):
+    """Best score b = max_i tanh(r_i) <eta, xi_i> and its attaining index at every node."""
+    scores = (nodes @ directions.T) * np.tanh(radii)
+    return scores.max(axis=1), scores.argmax(axis=1)
+
+
+def _grid_area_side(grid, poly1, poly2, omega):
+    """The area side as a quadrature of f(b) / cosh(r_i) over the grid nodes."""
+    (b1, arg1), (b2, arg2) = (_node_scores(grid.nodes, p.directions, p.radii)
+                              for p in (poly1, poly2))
+    mask = (b1 < b2) if omega == "lower" else np.ones(grid.size, dtype=bool)
+
+    def area(poly, best, arg):
+        density = f_of_b(best, poly.m) / np.cosh(poly.radii[arg])
+        return math.fsum(grid.weights[mask] * density[mask])
+
+    return area(poly2, b2, arg2) - area(poly1, b1, arg1)
+
+
+def _total_angles(m, directions, radii):
+    return hc.curvature_measure_angles(hc.from_vertices(m, directions, radii)).weights.sum()
+
+
+def _shrunk(body, factor):
+    return hc.from_vertices(body.m, body.directions, np.arctanh(factor * np.tanh(body.radii)))
+
+
+@pytest.mark.parametrize("omega", ["lower", "full"])
+def test_nested_area_side_is_gauss_bonnet(omega):
+    # |Sigma| = 2 pi + area for m=1, so the difference of a nested pair is
+    # the difference of the polygon areas, computed without any cell
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        outer = hc.random_polytope(1, int(rng.integers(4, 12)), rng)
+        inner = _shrunk(outer, rng.uniform(0.5, 0.95))
+        expected = hc.polygon_area_m1(outer) - hc.polygon_area_m1(inner)
+        assert abs(_area_side(inner, outer, omega) - expected) <= 1e-12
+
+
+def test_crossing_pentagons_area_side_is_the_decagon():
+    # at equal radii every point of the union is extreme, so the hull K is a
+    # body whose total exterior angle the corner formula gives
+    theta = 2.0 * np.pi * np.arange(10) / 10
+    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    b1 = hc.from_vertices(1, dirs[::2], np.ones(5))
+    b2 = hc.from_vertices(1, dirs[1::2], np.ones(5))
+    expected = _total_angles(1, dirs, np.ones(10)) - _total_angles(1, dirs[::2], np.ones(5))
+    assert abs(_area_side(b1, b2, "lower") - expected) <= 1e-12
+
+
+def test_octahedron_and_cube_area_side_is_their_union(octahedron):
+    cube_dirs = np.array([[x, y, z] for x in (1, -1) for y in (1, -1) for z in (1, -1)])
+    cube = hc.from_vertices(2, cube_dirs / np.sqrt(3.0), np.ones(8))
+    dirs = np.vstack([octahedron.directions, cube.directions])
+    expected = _total_angles(2, dirs, np.ones(14)) - _total_angles(2, octahedron.directions,
+                                                                  np.ones(6))
+    assert abs(_area_side(octahedron, cube, "lower") - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("omega", ["lower", "full"])
+def test_identical_bodies_area_side_vanishes(omega, octahedron):
+    for body in (hc.random_polytope(1, 9, np.random.default_rng(2)), octahedron):
+        assert _area_side(body, body, omega) == 0.0
+
+
+def test_area_side_matches_fine_grid_quadrature():
+    grid = hc.build_grid(1, 12)
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        b1, b2 = (hc.random_polytope(1, int(rng.integers(4, 10)), rng) for _ in range(2))
+        for omega in ("lower", "full"):
+            assert abs(_area_side(b1, b2, omega) - _grid_area_side(grid, b1, b2, omega)) <= 1e-4
+
+
+def test_union_best_score_is_body_two_exactly_on_lower_omega():
+    # the support of the hull of both bodies' Klein points is max(h1, h2):
+    # body 2 attains it exactly where b1 < b2
+    nodes = hc.build_grid(2, 7).nodes
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        b1, b2 = (hc.random_polytope(2, int(rng.integers(6, 12)), rng) for _ in range(2))
+        best1, _ = _node_scores(nodes, b1.directions, b1.radii)
+        best2, _ = _node_scores(nodes, b2.directions, b2.radii)
+        _, arg = _node_scores(nodes, np.vstack([b1.directions, b2.directions]),
+                              np.concatenate([b1.radii, b2.radii]))
+        lower = best1 < best2
+        assert 0 < lower.mean() < 1
+        assert np.array_equal(arg >= b1.n_vertices, lower)
+
+
+@pytest.mark.parametrize("m, low, high", [(1, 4, 24), (2, 5, 14)])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_area_side_monotone_under_inclusion(m, low, high, data):
+    # the hull of both bodies contains body 1, so its polar boundary area is
+    # no smaller; for a nested pair it is the outer body, and omega is the sphere
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    b1, b2 = (hc.random_polytope(m, data.draw(st.integers(low, high)), rng) for _ in range(2))
+    assert _area_side(b1, b2, "lower") >= -1e-12
+    inner = _shrunk(b2, data.draw(st.floats(0.3, 0.95), label="shrink"))
+    assert abs(_area_side(inner, b2, "lower") - _area_side(inner, b2, "full")) <= 1e-12
 
 
 # -- m=1 tangent search against the vertex sweep ------------------------------

@@ -32,8 +32,8 @@ def log_radial(body, xi):
 
 
 @pytest.fixture(scope="module")
-def solved(grid_m1):
-    mu = hc.curvature_measure_integral(hc.regular_polygon(5, 1.0), hc.build_grid(1, 6))
+def solved():
+    mu = hc.curvature_measure_integral(hc.regular_polygon(5, 1.0))
     return hc.solve(mu)
 
 

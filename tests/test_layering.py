@@ -1,8 +1,9 @@
-"""The conjugacy and kernel layers stand on exact hull geometry alone.
+"""The library stands on exact hull geometry alone.
 
-Only the Crofton area side and the tests read quadrature grids.  These
-tests follow each module's package-relative imports, transitively, and
-fail if ``hypcurv.quadrature`` is reached.
+No library route reads quadrature nodes or weights: ``bodies`` imports
+``hypcurv.quadrature`` only for the icosphere nodes of ``icosphere_body``,
+and the package re-exports it; the tests read grids as oracles.  These tests
+follow each module's package-relative imports, transitively or one step.
 """
 
 import ast
@@ -44,8 +45,14 @@ def _reached(module: str) -> set[str]:
 
 
 def test_import_walk_sees_quadrature_where_it_is_used():
-    assert "quadrature" in _package_imports("crofton")
+    assert "quadrature" in _package_imports("bodies")
     assert "quadrature" in _reached("solver")
+
+
+def test_only_bodies_and_the_package_import_quadrature():
+    importers = {path.stem for path in PACKAGE.glob("*.py")
+                 if "quadrature" in _package_imports(path.stem)}
+    assert importers == {"bodies", "__init__"}
 
 
 @pytest.mark.parametrize("module", ["cells", "ctransform"])

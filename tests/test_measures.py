@@ -249,11 +249,11 @@ class TestConditions:
             assert d["subsets_evaluated"] == rep.subsets_evaluated
             assert d["wall_time"] == rep.wall_time
 
-    def test_forward_measures_pass(self, grid_m1, octahedron):
+    def test_forward_measures_pass(self, octahedron):
         rng = np.random.default_rng(3)
         for _ in range(5):
             poly = hc.random_polytope(1, int(rng.integers(4, 8)), rng)
-            rep = check_conditions(hc.curvature_measure_integral(poly, grid_m1))
+            rep = check_conditions(hc.curvature_measure_integral(poly))
             assert rep.all_ok and rep.alexandrov_slack > 0
         rep = check_conditions(hc.curvature_measure_angles(octahedron))
         assert rep.all_ok

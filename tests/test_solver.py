@@ -28,74 +28,74 @@ def psi_jacobian(body):
 
 
 @pytest.fixture(scope="module")
-def square_mu(grid_m1, square):
-    return hc.curvature_measure_integral(square, grid_m1)
+def square_mu(square):
+    return hc.curvature_measure_integral(square)
 
 
-def test_gradient_matches_finite_differences(grid_m1):
+def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     step = 1e-5
     for _ in range(5):
         poly = hc.random_polytope(1, int(rng.integers(4, 8)), rng)
-        mu = hc.curvature_measure_integral(poly, grid_m1)
+        mu = hc.curvature_measure_integral(poly)
         psi = np.log(np.tanh(poly.radii)) + rng.uniform(-0.1, 0.1, size=mu.size)
-        grad = dual_gradient(psi, mu, grid_m1)
+        grad = dual_gradient(psi, mu)
         for i in range(mu.size):
             bump = np.zeros(mu.size)
             bump[i] = step
-            fd = (dual_objective(psi + bump, mu, grid_m1)
-                  - dual_objective(psi - bump, mu, grid_m1)) / (2 * step)
+            fd = (dual_objective(psi + bump, mu)
+                  - dual_objective(psi - bump, mu)) / (2 * step)
             assert fd == pytest.approx(grad[i], rel=1e-5, abs=1e-9)
 
 
-def test_gradient_matches_finite_differences_m2(grid_m2):
+def test_gradient_matches_finite_differences_m2():
     # the m=2 twin of acceptance criterion 07
     rng = np.random.default_rng(77)
     step = 1e-5
     worst = 0.0
     for _ in range(10):
         poly = hc.random_polytope(2, int(rng.integers(6, 11)), rng)
-        mu = hc.curvature_measure_integral(poly, grid_m2)
+        mu = hc.curvature_measure_integral(poly)
         psi = np.log(np.tanh(poly.radii)) + rng.uniform(-0.15, 0.1, size=mu.size)
-        grad = dual_gradient(psi, mu, grid_m2)
+        grad = dual_gradient(psi, mu)
         for i in range(mu.size):
             bump = np.zeros(mu.size)
             bump[i] = step
-            fd = (dual_objective(psi + bump, mu, grid_m2)
-                  - dual_objective(psi - bump, mu, grid_m2)) / (2 * step)
+            fd = (dual_objective(psi + bump, mu)
+                  - dual_objective(psi - bump, mu)) / (2 * step)
             worst = max(worst, abs(fd - grad[i]) / max(abs(grad[i]), 1e-4))
     assert worst <= 1e-5
 
 
-def test_symmetric_configuration_symmetry(grid_m1):
+def test_symmetric_configuration_symmetry():
     # rotated cells evaluate cosines at translated angles, so equality holds
     # to rounding rather than bit-for-bit
     angles = 2 * np.pi * np.arange(6) / 6
     mu = DiscreteMeasure(1, dirs_from_angles(angles), np.full(6, 1.2))
     psi = np.full(6, -0.4)
-    grad = dual_gradient(psi, mu, grid_m1)
+    grad = dual_gradient(psi, mu)
     assert np.abs(grad - grad[0]).max() < 1e-13
-    rolled = dual_objective(np.roll(psi, 2), mu, grid_m1)
-    assert dual_objective(psi, mu, grid_m1) == pytest.approx(rolled, abs=1e-12)
+    rolled = dual_objective(np.roll(psi, 2), mu)
+    assert dual_objective(psi, mu) == pytest.approx(rolled, abs=1e-12)
 
 
-def test_objective_increases_under_double_convexify(grid_m1):
+def test_objective_increases_under_double_convexify():
     rng = np.random.default_rng(1)
     poly = hc.random_polytope(1, 5, rng)
-    mu = hc.curvature_measure_integral(poly, grid_m1)
+    mu = hc.curvature_measure_integral(poly)
     vals = np.log(np.tanh(poly.radii)) - rng.uniform(0.0, 1.0, size=5)
     psi = hc.PotentialVector(1, mu.points, vals)
     better = hc.double_convexify(psi)
-    assert dual_objective(better, mu, grid_m1) >= dual_objective(psi, mu, grid_m1) - 1e-12
+    assert dual_objective(better, mu) >= dual_objective(psi, mu) - 1e-12
 
 
-def test_objective_finite(grid_m1):
+def test_objective_finite():
     rng = np.random.default_rng(2)
     poly = hc.random_polytope(1, 5, rng)
-    mu = hc.curvature_measure_integral(poly, grid_m1)
+    mu = hc.curvature_measure_integral(poly)
     for _ in range(10):
         psi = -np.exp(rng.uniform(-3, 1, size=5))
-        assert np.isfinite(dual_objective(psi, mu, grid_m1))
+        assert np.isfinite(dual_objective(psi, mu))
 
 
 def test_extract_body_inverse_pair(square_mu):
@@ -113,8 +113,8 @@ def test_square_round_trip(square_mu, square):
     assert rep.body.radii.max() - rep.body.radii.min() < 1e-10
 
 
-def test_residual_history_falls_strictly(square_mu, octahedron, grid_m2):
-    for mu in (square_mu, hc.curvature_measure_integral(octahedron, grid_m2)):
+def test_residual_history_falls_strictly(square_mu, octahedron):
+    for mu in (square_mu, hc.curvature_measure_integral(octahedron)):
         rep = solve(mu)
         assert len(rep.residual_history) == rep.iterations + 1
         assert np.all(np.diff(rep.residual_history) < 0.0)
@@ -122,20 +122,20 @@ def test_residual_history_falls_strictly(square_mu, octahedron, grid_m2):
             hc.curvature_measure_angles(rep.body).weights - mu.weights).max()
 
 
-def test_el_residual_small_at_solution_large_after_perturbation(grid_m1, square_mu):
+def test_el_residual_small_at_solution_large_after_perturbation(square_mu):
     rep = solve(square_mu)
-    res = transport_residuals(rep.psi, square_mu, grid_m1)
+    res = transport_residuals(rep.psi, square_mu)
     assert res.max() <= 1e-6
     vals = rep.psi.values.copy()
     vals[1] -= 0.1
-    res_pert = transport_residuals(vals, square_mu, grid_m1)
+    res_pert = transport_residuals(vals, square_mu)
     assert res_pert[1] > 1e-6
 
 
-def test_radii_monotone_in_ball_size(grid_m1):
+def test_radii_monotone_in_ball_size():
     recovered = []
     for radius in (0.5, 1.0, 2.0):
-        mu = hc.curvature_measure_integral(hc.regular_polygon(8, radius), grid_m1)
+        mu = hc.curvature_measure_integral(hc.regular_polygon(8, radius))
         rep = solve(mu)
         assert rep.converged
         recovered.append(rep.body.radii.mean())
@@ -245,18 +245,18 @@ def test_solver_config_validation():
     assert SolverConfig() == SolverConfig(tol=1e-12, max_iter=50)
 
 
-def test_m2_round_trip_octahedron(octahedron, grid_m2):
-    mu = hc.curvature_measure_integral(octahedron, grid_m2)
+def test_m2_round_trip_octahedron(octahedron):
+    mu = hc.curvature_measure_integral(octahedron)
     rep = solve(mu)
     assert rep.converged
     assert np.abs(rep.body.radii - 1.0).max() < 1e-2
 
 
-def test_m2_grid_measure_round_trip_in_few_steps(criterion06_bodies, grid_m2):
+def test_m2_grid_measure_round_trip_in_few_steps(criterion06_bodies):
     # the grid ascent stalled on this body's grid measure for thousands of
     # iterations; Newton on the exact angles needs a handful of steps
     body = criterion06_bodies[2][9]
-    mu = hc.curvature_measure_integral(body, grid_m2)
+    mu = hc.curvature_measure_integral(body)
     rep = solve(mu, SolverConfig(max_iter=10))
     assert rep.converged
     assert np.all(np.diff(rep.residual_history) < 0)
