@@ -87,7 +87,7 @@ def _cmd_forward(args) -> int:
     hio.save_report(payload, out / "forward_report.json")
     hio.save_measure(integral, out / "curvature_measure.json")
     _maybe_graphics(args, poly, out)
-    print(json.dumps({k: payload[k] for k in payload if not k.endswith("s") or k == "radii"},
+    print(json.dumps({k: v for k, v in payload.items() if not isinstance(v, list) or k == "radii"},
                      indent=2, default=str))
     return EXIT_OK
 

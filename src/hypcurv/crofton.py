@@ -187,6 +187,35 @@ def _form_extremes_sweep(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     return lo_phi, hi_phi
 
 
+def _sector_lookup(polar: np.ndarray):
+    """``searchsorted(polar, theta, side="right") - 1`` for ascending angles in
+    [-pi, pi], by 4n uniform angle bins.
+
+    The bin index b(x) is monotone in x, so every angle in a lower bin is
+    below theta, and the count of those is never past the answer; the
+    answer lies at most the fullest bin's count further on, which a
+    bisection of fixed steps covers.
+    """
+    bins = 4 * len(polar)
+    scale = bins / (2.0 * np.pi)
+
+    def bin_of(x):
+        return np.minimum(((x + np.pi) * scale).astype(np.intp), bins - 1)
+
+    count = np.bincount(bin_of(polar), minlength=bins)
+    below = np.cumsum(count) - count - 1
+    steps = [1 << s for s in reversed(range(int(count.max()).bit_length()))]
+    padded = np.concatenate([polar, np.full(2 * steps[0], np.inf)])
+
+    def lookup(theta):
+        found = below[bin_of(theta)]
+        for step in steps:
+            found += step * (padded[found + step] <= theta)
+        return found
+
+    return lookup
+
+
 def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     """min phi_i and max phi_i per sample of an m=1 sample set, by tangent search.
 
@@ -196,9 +225,9 @@ def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     ordered as the directions q - p_i, and for q outside the polygon the
     extremes are the two tangent vertices from q: the ends of the chain of
     edges visible from q (<n_e, q> > h_e).  The ray through q crosses edge
-    j0, found on the vertex polar angles.  If j0 is visible, each side of the
-    chain is bisected, bounded by the edge that the ray through -q crosses,
-    which is never visible.  Otherwise q is inside, and the extremes are the
+    j0, found on the vertex polar angles by ``_sector_lookup``.  If j0 is
+    visible, each side of the chain is bisected, bounded by the edge that the
+    ray through -q crosses, which is never visible.  Otherwise q is inside, and the extremes are the
     two vertices of j0, on either side of the arctan2 cut at -q; where one of
     them ties with the cut, the span comes out below pi and the vertices
     beyond j0 are evaluated too.  phi is the sweep's arctan2 form,
@@ -221,6 +250,7 @@ def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     xi_x, xi_y = (np.tile(poly.directions[ring, c], 3) for c in (0, 1))
     k = np.tile(np.tanh(poly.radii)[ring], 3)
     steps = [1 << s for s in reversed(range((n - 1).bit_length()))]
+    sector = _sector_lookup(polar)
 
     def phi_at(vertex, xa, xb, ch, sh):
         kv = k[vertex]
@@ -236,7 +266,7 @@ def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
         theta = np.arctan2(xa[:, 1], xa[:, 0])
         t = np.tanh(h_a)
         qx, qy = t * xa[:, 0], t * xa[:, 1]
-        first = np.searchsorted(polar, theta, side="right") - 1 + n
+        first = sector(theta) + n
         last = first.copy()
         outside = dual_x[first] * qx + dual_y[first] * qy > 1.0
         out = np.flatnonzero(outside)
@@ -244,7 +274,7 @@ def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
             base, qx, qy = first[out], qx[out], qy[out]
             # steps counterclockwise from j0 to the edge the ray through -q crosses
             opposite = theta[out] - np.copysign(np.pi, theta[out])
-            to_bound = (np.searchsorted(polar, opposite, side="right") - 1 + n - base) % n
+            to_bound = (sector(opposite) + n - base) % n
             for ends, sign, limit in ((last, 1, base + to_bound), (first, -1, base + to_bound - n)):
                 end = base.copy()
                 for step in steps:

@@ -12,22 +12,29 @@ equals the true infimum.
 
 Every check is exact.  m=1 enumerates the arcs between support points and
 takes each arc's mass as a difference of cyclic prefix sums, O(N^2) in all.
-The m=2 check evaluates all 2^N - 1 subsets as bit masks, 2^16 at a time,
-and is refused above EXHAUSTIVE_MAX_ATOMS atoms; there a converged
-``solver.solve`` is the certificate of admissibility.  Each ordered pair with
-|p_i x p_j| >= 1e-8 gets c_ij = unit(p_i x p_j), d_ij = atan2(|p_i x p_j|,
-p_i.p_j) and the masks E_ij = {k : c_ij.p_k >= -1e-12}, L_ij = {k : c_ij.p_k
->= -_CONTAIN_EPS} and Z_ij = {k not in {i, j} : |c_ij.p_k| <= 1e-8}.  (i, j) is
-a hull edge of S when i, j are in S and S lies in E_ij.  The polar of a
-spherical convex polygon has area 2 pi minus its perimeter, the sum of d_ij
-over the edges; the covered points are the AND of L_ij; a subset with no edge
-is the full sphere.  A single point's polar is a hemisphere, of area 2 pi.
-A pair's two edges give the polar 2 pi - 2 d_ij and cover exactly the pair
-unless a third point lies on its great circle.  Degenerate subsets (a pair
-with |p_i x p_j| < 1e-8 and its supersets, a pair with a nonempty Z_ij, and
-a subset holding a pair and a point of its Z_ij) go through the per-subset
-hull ``_cone_hull``.  The witness is the first subset in (size,
-lexicographic) order whose slack lies within 1e-15 of the minimum.
+The m=2 check evaluates all 2^N - 1 subsets as bit masks, in blocks of 2^16
+that share their bits from 16 up, and is refused above EXHAUSTIVE_MAX_ATOMS
+atoms; there a converged ``solver.solve`` is the certificate of
+admissibility.
+
+Each ordered pair with |p_i x p_j| >= 1e-8 gets c_ij = unit(p_i x p_j),
+d_ij = atan2(|p_i x p_j|, p_i.p_j) and the masks
+E_ij = {k : c_ij.p_k >= -1e-12}, L_ij = {k : c_ij.p_k >= -_CONTAIN_EPS} and
+Z_ij = {k not in {i, j} : |c_ij.p_k| <= 1e-8}.  (i, j) is a hull edge of S
+when i, j are in S and S lies in E_ij.  So its subsets are {i, j} joined
+with any subset of E_ij - {i, j}, a sub-cube of the masks, and each pair
+visits only its own sub-cube (``_edge_sums``): 3.4 % of the N (N - 1) 2^N
+pair-subset tests for an 8-atom body measure, 0.15 % for 20 random atoms.
+The polar of a spherical convex polygon has area 2 pi minus its perimeter,
+the sum of d_ij over the edges, subtracted in ascending pair order; the
+covered points are the AND of L_ij; a subset with no edge is the full
+sphere.  A single point's polar is a hemisphere, of area 2 pi.  A pair's two
+edges give the polar 2 pi - 2 d_ij and cover exactly the pair unless a third
+point lies on its great circle.  Degenerate subsets (a pair with
+|p_i x p_j| < 1e-8 and its supersets, a pair with a nonempty Z_ij, and a
+subset holding a pair and a point of its Z_ij) go through the per-subset hull
+``_cone_hull``.  The witness is the first subset in (size, lexicographic)
+order whose slack lies within 1e-15 of the minimum.
 """
 
 from __future__ import annotations
@@ -53,6 +60,12 @@ _PAIR_EPS = 1e-8     # |p_i x p_j| below this: near-parallel pair
 _EDGE_EPS = 1e-12    # dual-ray test of a hull edge
 _PLANE_EPS = 1e-8    # a third point this close to an edge's great circle
 _BLOCK = 1 << 16     # subset masks evaluated at once
+_HEAVY = 1 << 10     # a pair with this many masks in a block is applied alone
+
+# the submasks of every byte value b, ascending, at _SUBS[_SUB_START[b]:][:_SUB_COUNT[b]]
+_SUB_OF, _SUBS = np.nonzero((np.arange(256) & ~np.arange(256)[:, None]) == 0)
+_SUB_COUNT = np.bincount(_SUB_OF, minlength=256)
+_SUB_START = np.cumsum(_SUB_COUNT) - _SUB_COUNT
 
 _FULL = "full"
 _ARC = "arc"
@@ -340,6 +353,70 @@ def _mask_tuple(mask: int) -> tuple:
     return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
+def _byte_subs(b: int) -> np.ndarray:
+    return _SUBS[_SUB_START[b]:_SUB_START[b] + _SUB_COUNT[b]]
+
+
+def _sub_cubes(ends: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ends[r] | t with t a submask of the 16-bit free[r], grouped by row
+    in row order, and each entry's row."""
+    lo, hi = free & 255, free >> 8
+    n_lo = _SUB_COUNT[lo]
+    count = n_lo * _SUB_COUNT[hi]
+    row = np.repeat(np.arange(len(free)), count)
+    k = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    k_hi, k_lo = np.divmod(k, n_lo[row])
+    entries = _SUBS[_SUB_START[lo][row] + k_lo] | _SUBS[_SUB_START[hi][row] + k_hi] << 8
+    return entries | ends[row], row
+
+
+def _edge_sums(masks, n, ends, inner, arc, cover):
+    """2 pi minus the arcs of every edge, and the AND of the edges' covers, per mask.
+
+    Pair p is an edge of exactly the masks ends[p] | t, t a submask of
+    inner[p] & ~ends[p].  Masks that share their bits from 16 up form a
+    block; p reaches a block only if that part lies between its ends and its
+    inner mask, and there it reaches the low-16-bit sub-cube of its free
+    bits.  A pair with _HEAVY masks or more is applied alone, the others in
+    batches of up to _BLOCK entries.  Pairs run in ascending order, so every
+    mask's arcs are subtracted in one fixed order.
+    """
+    low = _BLOCK - 1
+    free = inner & ~ends & low
+    polar = np.empty(len(masks))
+    covered = np.empty(len(masks), dtype=np.int64)
+    high = masks >> 16
+    tops = np.flatnonzero(np.bincount(high))
+    for top in tops:
+        rows = np.flatnonzero(high == top) if len(tops) > 1 else slice(None)
+        block_polar = np.full(1 << min(n, 16), 2.0 * np.pi)
+        block_covered = np.full(len(block_polar), (1 << n) - 1, dtype=np.int64)
+        reach = np.flatnonzero(((ends >> 16) & ~top == 0) & (top & ~(inner >> 16) == 0))
+        size = _SUB_COUNT[free[reach] & 255] * _SUB_COUNT[free[reach] >> 8]
+        groups: list[list[int]] = []
+        queued = _BLOCK
+        for p, s in zip(reach.tolist(), size.tolist()):
+            if s >= _HEAVY or queued + s > _BLOCK:
+                groups.append([])
+                queued = 0
+            groups[-1].append(p)
+            queued = _BLOCK if s >= _HEAVY else queued + s  # nothing joins a heavy pair
+        for group in groups:
+            if len(group) == 1:  # one pair's masks are distinct
+                p = group[0]
+                cube = _byte_subs(free[p] >> 8)[:, None] << 8 | _byte_subs(free[p] & 255)
+                cube |= ends[p] & low
+                block_polar[cube] -= arc[p]
+                block_covered[cube] &= cover[p]
+            else:
+                entries, row = _sub_cubes(ends[group] & low, free[group])
+                np.subtract.at(block_polar, entries, arc[group][row])
+                np.bitwise_and.at(block_covered, entries, cover[group][row])
+        polar[rows] = block_polar[masks[rows] & low]
+        covered[rows] = block_covered[masks[rows] & low]
+    return polar, covered
+
+
 def _mask_slacks(mu: DiscreteMeasure, masks: np.ndarray) -> np.ndarray:
     """Slacks of an int64 array of subset masks (see the module docstring)."""
     pts, n = mu.points, mu.size
@@ -361,12 +438,7 @@ def _mask_slacks(mu: DiscreteMeasure, masks: np.ndarray) -> np.ndarray:
     tables = [byte[:, :len(w)] @ w for w in np.split(mu.weights, range(8, n, 8))]
     total = mu.total
 
-    polar = np.full(len(masks), 2.0 * np.pi)
-    covered = np.full(len(masks), (1 << n) - 1, dtype=np.int64)
-    for p in range(len(i)):
-        edge = ((masks & ~inner[p]) == 0) & ((masks & ends[p]) == ends[p])
-        np.subtract(polar, arc[p], out=polar, where=edge)
-        np.bitwise_and(covered, cover[p], out=covered, where=edge)
+    polar, covered = _edge_sums(masks, n, ends, inner, arc, cover)
     mass = sum(t[(covered >> (8 * b)) & 255] for b, t in enumerate(tables))
     slack = np.where(polar < 2.0 * np.pi, (total - mass) - polar, np.inf)  # no edge: full
     two = masks & (masks - 1)
@@ -386,8 +458,8 @@ def _alexandrov_exhaustive(mu: DiscreteMeasure):
     """Minimal slack over all 2^N - 1 subset masks (see the module docstring)."""
     best = np.inf
     found: list[tuple[np.ndarray, np.ndarray]] = []
-    for lo in range(1, 1 << mu.size, _BLOCK):
-        masks = np.arange(lo, min(lo + _BLOCK, 1 << mu.size), dtype=np.int64)
+    for lo in range(0, 1 << mu.size, _BLOCK):  # a block shares its bits from 16 up
+        masks = np.arange(max(lo, 1), min(lo + _BLOCK, 1 << mu.size), dtype=np.int64)
         slack = _mask_slacks(mu, masks)
         low = float(slack.min())
         best = min(best, low)

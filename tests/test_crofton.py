@@ -13,6 +13,7 @@ from hypcurv.crofton import (
     _area_side,
     _form_extremes_search,
     _form_extremes_sweep,
+    _sector_lookup,
     count_intersections,
     crofton_compare,
     sample_geodesics,
@@ -317,6 +318,25 @@ def _at_klein_points(q):
     q = np.atleast_2d(q)
     norm = np.linalg.norm(q, axis=1)
     return _foot_points(q / norm[:, None], norm)
+
+
+def _polar_angles(directions):
+    return np.sort(np.arctan2(directions[:, 1], directions[:, 0]))
+
+
+@pytest.mark.parametrize("polar", [
+    _polar_angles(hc.regular_polygon(3, 1.0).directions),
+    _polar_angles(hc.regular_polygon(256, 1.0).directions),
+    np.sort(np.r_[np.linspace(-3.0, 3.0, 11), 1.2 + 1e-9, -np.pi, np.pi]),
+    np.sort(np.r_[0.5 + 1e-7 * np.arange(40), -2.0, 2.0]),
+], ids=["3-gon", "256-gon", "1e-9 apart", "40 in one bin"])
+def test_sector_lookup_is_searchsorted(polar):
+    theta = np.concatenate([
+        np.random.default_rng(len(polar)).uniform(-np.pi, np.pi, 20_000),
+        polar, np.nextafter(polar, -np.inf), np.nextafter(polar, np.inf), [-np.pi, np.pi]])
+    theta = np.clip(theta, -np.pi, np.pi)
+    expected = np.searchsorted(polar, theta, side="right") - 1
+    assert np.array_equal(_sector_lookup(polar)(theta), expected)
 
 
 @pytest.mark.parametrize("n", [3, 4, 64, 1024, 4096])

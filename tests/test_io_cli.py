@@ -1,11 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hypcurv as hc
 from hypcurv import io as hio
 from hypcurv.cli import main
+from hypcurv.minkowski import unit_rows
 
 
 @pytest.fixture()
@@ -44,6 +49,37 @@ class TestJson:
             back = hio.load_body(path)
             assert np.array_equal(back.directions, poly.directions), f"body {i}"
             assert np.array_equal(back.radii, poly.radii), f"body {i}"
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 2), st.lists(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False),
+                                                min_size=3, max_size=3), min_size=1, max_size=12),
+           st.lists(st.floats(1e-300, 1e300, allow_subnormal=False), min_size=12, max_size=12))
+    def test_measure_save_load_property(self, m, rows, weights):
+        raw = np.array(rows)[:, :m + 1]
+        assume(np.linalg.norm(raw, axis=1).min() > 1e-3)
+        points = unit_rows(raw, np.inf, "unreachable")
+        assume(len(points) == 1 or np.min([np.linalg.norm(p - q) for k, p in enumerate(points)
+                                           for q in points[:k]]) > 1e-6)
+        mu = hc.DiscreteMeasure(m, points, np.array(weights[:len(points)]))
+        with tempfile.TemporaryDirectory() as tmp:
+            hio.save_measure(mu, Path(tmp) / "mu.json")
+            back = hio.load_measure(Path(tmp) / "mu.json")
+        assert back.m == m
+        assert np.array_equal(back.points, mu.points)
+        assert np.array_equal(back.weights, mu.weights)
+
+    @settings(max_examples=30)
+    @given(st.integers(1, 2), st.integers(0, 2**32 - 1), st.integers(0, 6),
+           st.floats(0.05, 4.0))
+    def test_body_save_load_property(self, m, seed, extra, r_max):
+        rng = np.random.default_rng(seed)
+        poly = hc.random_polytope(m, m + 2 + extra, rng, r_min=0.5 * r_max, r_max=r_max)
+        with tempfile.TemporaryDirectory() as tmp:
+            hio.save_body(poly, Path(tmp) / "body.json")
+            back = hio.load_body(Path(tmp) / "body.json")
+        assert back.m == m
+        assert np.array_equal(back.directions, poly.directions)
+        assert np.array_equal(back.radii, poly.radii)
 
     def test_unknown_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -141,6 +177,15 @@ class TestCli:
         assert (out / "body.svg").exists()
         rep = json.loads((out / "forward_report.json").read_text())
         assert abs(rep["gauss_bonnet_residual"]) < 1e-8
+
+    def test_forward_prints_the_scalar_summary(self, fixture_dir, workdir, capsys):
+        code = main(["forward", str(fixture_dir / "body_square_m1.json"),
+                     "--out", str(workdir / "fwd")])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert {"total_angles", "total_integral", "radii"} <= set(summary)
+        assert not {"weights_angles", "weights_integral", "directions"} & set(summary)
+        assert summary["total_angles"] == pytest.approx(summary["total_integral"], abs=1e-12)
 
     def test_solve_and_roundtrip(self, fixture_dir, workdir):
         out = workdir / "solve"

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hypcurv as hc
@@ -428,3 +428,98 @@ def test_polar_area_is_two_pi_minus_perimeter(polar, azimuth, radius, offsets):
     assume(min(abs(np.cross(p, q) @ r) for p, q, r in combinations(pts, 3)) > 1e-6)
     hull = spherical_hull(pts)
     assert abs(2.0 * np.pi - perimeter(hull.extreme_rays) - hull.polar_area) <= 1e-12
+
+
+# -- the mask path against the per-subset hull -------------------------------
+
+
+def _spread_points(kind, center, offsets):
+    """Points from (u, turn) offsets: uniform on the sphere, in the
+    hemisphere about center, or in the cap of angular radius 0.5 about it."""
+    u = np.array([u for u, _ in offsets])
+    turn = np.array([t for _, t in offsets])
+    height = {"sphere": 2.0 * u - 1.0, "hemisphere": u,
+              "cap": 1.0 - u * (1.0 - np.cos(0.5))}[kind]
+    e1 = np.cross(center, np.eye(3)[int(np.argmin(np.abs(center)))])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(center, e1)
+    ring = np.cos(turn)[:, None] * e1 + np.sin(turn)[:, None] * e2
+    pts = height[:, None] * center + np.sqrt(1.0 - height**2)[:, None] * ring
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+atom_offsets = st.lists(st.tuples(st.floats(0.0, 1.0, allow_subnormal=False), turns),
+                        min_size=3, max_size=9)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["sphere", "hemisphere", "cap"]),
+       st.floats(0.0, np.pi, allow_subnormal=False), turns, atom_offsets,
+       st.lists(st.floats(0.2, 4.0), min_size=9, max_size=9))
+def test_mask_slacks_match_every_subset_hull(kind, polar, azimuth, offsets, weights):
+    center = np.array([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                       np.cos(polar)])
+    pts = _spread_points(kind, center, offsets)
+    # general position: no two points within 1e-3, no three within about 1e-3
+    # of a great circle, where the oracle's arccos corner angles lose digits
+    assume(min(np.linalg.norm(p - q) for p, q in combinations(pts, 2)) > 1e-3)
+    assume(min(abs(np.cross(p, q) @ r) for p, q, r in combinations(pts, 3)) > 1e-3)
+    mu = DiscreteMeasure(2, pts, np.array(weights[:len(pts)]))
+    masks = np.arange(1, 1 << mu.size, dtype=np.int64)
+    for mask, slack in zip(masks.tolist(), _mask_slacks(mu, masks)):
+        expected = _subset_slack(mu, _mask_tuple(mask))
+        if mask & (mask - 1) == 0 or np.isinf(expected):
+            assert slack == expected, mask
+        else:
+            # the oracle's area is an angle excess of arccos terms, which is
+            # off by about 1e-13 on thin triangles; 2 pi minus the perimeter is not
+            assert abs(slack - expected) <= 1e-12, mask
+
+
+def test_mask_slacks_of_any_mask_order_are_the_full_range_values():
+    # masks on both sides of 2^16, shuffled, with repeats: the same bits as
+    # the full range in one call and block by block
+    rng = np.random.default_rng(11)
+    mu = DiscreteMeasure(2, hc.minkowski.random_unit_vectors(2, 18, rng),
+                         rng.uniform(0.5, 2.0, size=18))
+    every = np.arange(1, 1 << 18, dtype=np.int64)
+    full = _mask_slacks(mu, every)
+    blocks = [_mask_slacks(mu, every[lo:lo + (1 << 16)]) for lo in range(0, len(every), 1 << 16)]
+    assert np.array_equal(np.concatenate(blocks), full)
+    edge = np.arange((1 << 16) - 40, (1 << 16) + 40, dtype=np.int64)
+    picked = np.concatenate([rng.choice(every, 3000), edge, edge[::7], [1, (1 << 18) - 1]])
+    rng.shuffle(picked)
+    assert np.array_equal(_mask_slacks(mu, picked), full[picked - 1])
+
+
+def test_twenty_atom_body_measure_passes():
+    mu = hc.curvature_measure_angles(hc.random_polytope(2, 20, np.random.default_rng(1)))
+    rep = check_conditions(mu)
+    assert rep.all_ok and rep.subsets_evaluated == 2 ** 20 - 1
+
+
+def test_twenty_atom_cluster_fails_only_the_subset_condition():
+    # 14 heavy atoms in a cap of radius 0.3 outweigh 4 pi; the 6 atoms off it
+    # carry less than the polar cap's area 2 pi (1 - sin 0.3)
+    rng = np.random.default_rng(12)
+    far = hc.minkowski.random_unit_vectors(2, 400, rng)
+    cluster = cap_points(rng, 14, 0.3)
+    center = cluster.sum(axis=0) / np.linalg.norm(cluster.sum(axis=0))
+    far = far[far @ center < np.cos(0.7)][:6]
+    outside = 0.5 * 2.0 * np.pi * (1.0 - np.sin(0.3))
+    mu = DiscreteMeasure(2, np.vstack([cluster, far]),
+                         np.r_[rng.uniform(2.0, 3.0, size=14), np.full(6, outside / 6)])
+    rep = check_conditions(mu)
+    assert rep.total_mass_ok and rep.vertex_ok and not rep.alexandrov_ok
+    assert rep.subsets_evaluated == 2 ** 20 - 1
+
+
+def test_twenty_atoms_in_convex_position_fail_as_a_whole():
+    # unit atoms on a circle of angular radius 0.3: the whole set has the
+    # smallest slack, 0 - 2 pi (1 - sin 0.3) minus nothing outside
+    turn = 2.0 * np.pi * np.arange(20) / 20
+    pts = np.column_stack([np.sin(0.3) * np.cos(turn), np.sin(0.3) * np.sin(turn),
+                           np.full(20, np.cos(0.3))])
+    rep = check_conditions(DiscreteMeasure(2, pts, np.ones(20)))
+    assert rep.total_mass_ok and rep.vertex_ok and not rep.alexandrov_ok
+    assert rep.worst_witness == tuple(range(20))

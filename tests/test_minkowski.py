@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import hypcurv as hc
 from hypcurv.minkowski import (
@@ -12,6 +14,7 @@ from hypcurv.minkowski import (
     klein_point,
     lorentz_dot,
     random_unit_vectors,
+    unit_rows,
     validate_dimension,
 )
 
@@ -115,3 +118,13 @@ def test_dimension_validation():
         validate_dimension(3)
     with pytest.raises(hc.UnsupportedDimensionError):
         hc.build_grid(0, 2)
+
+
+@given(st.integers(1, 2), st.lists(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False),
+                                            min_size=3, max_size=3), min_size=1, max_size=20))
+def test_unit_rows_idempotent_property(m, rows):
+    raw = np.array(rows)[:, :m + 1]
+    assume(np.linalg.norm(raw, axis=1).min() > 1e-6)
+    once = unit_rows(raw, np.inf, "unreachable")
+    assert np.array_equal(unit_rows(once, 1e-8, "not unit"), once)
+    assert np.array_equal(unit_rows(unit_rows(once, 1e-8, "not unit"), 1e-8, "not unit"), once)
