@@ -9,8 +9,12 @@ measures of random polytopes always pass with positive margins.  It ends
 with the cost of the exact m=2 check, which visits all 2^N - 1 subsets,
 as N grows: random body measures, N atoms in convex position on a small
 circle (every pair bounds many subsets) and the icosahedron (whose subsets
-with antipodal pairs take the per-subset hull).
+with antipodal pairs take the per-subset hull).  N = 17 and 18 are the
+first sizes whose subsets fill more than one block of 2^16 masks.  Each row
+also prints the process peak so far, in MB.
 """
+
+import resource
 
 import numpy as np
 
@@ -63,13 +67,14 @@ def circle_m2(n, radius=0.3):
 
 print()
 print(f"m=2 check cost (exhaustive up to N = {EXHAUSTIVE_MAX_ATOMS}):")
-print(f"  {'measure':30s} {'N':>3s} {'subsets':>9s} {'wall_time':>10s}  all_ok")
+print(f"  {'measure':30s} {'N':>3s} {'subsets':>9s} {'wall_time':>10s}  all_ok  peak MB")
 rng = np.random.default_rng(2)
 cases = [("random body", hc.curvature_measure_angles(hc.random_polytope(2, n, rng)))
-         for n in (8, 12, 16, 20)]
+         for n in (8, 12, 16, 17, 18, 20)]
 cases += [("convex position, radius 0.3", circle_m2(n)) for n in (12, 16, 20)]
 cases.append(("icosahedron", hc.curvature_measure_angles(hc.icosphere_body(0, 1.0))))
 for name, mu in cases:
     rep = hc.check_conditions(mu)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
     print(f"  {name:30s} {mu.size:3d} {rep.subsets_evaluated:9d} "
-          f"{rep.wall_time:9.4f}s  {rep.all_ok}")
+          f"{rep.wall_time:9.4f}s  {str(rep.all_ok):6s}  {peak:7.1f}")

@@ -22,7 +22,7 @@ from .bodies import (
     regular_polygon,
 )
 from .crofton import crofton_compare
-from .errors import HypcurvError, PreconditionError
+from .errors import PreconditionError
 from .measures import DiscreteMeasure, check_conditions
 from .solver import SolverConfig, solve
 
@@ -282,13 +282,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PreconditionError as exc:
-        return _emit_error(args, EXIT_VALIDATION, exc)
-    except HypcurvError as exc:
-        return _emit_error(args, EXIT_VALIDATION, exc)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:  # JSONDecodeError is a ValueError
         return _emit_error(args, EXIT_IO, exc)
-    except ValueError as exc:
+    except ValueError as exc:  # HypcurvError and PreconditionError among them
         return _emit_error(args, EXIT_VALIDATION, exc)
 
 

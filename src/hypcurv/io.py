@@ -38,6 +38,13 @@ def _load_strict(path, required: set[str]) -> dict:
     return data
 
 
+def _dim(path, data: dict) -> int:
+    dim = data["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError(f"{path}: field 'dim' must be a JSON integer, not {dim!r}")
+    return dim
+
+
 def _unit_rows(raw, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != dim + 1:
@@ -49,7 +56,7 @@ def _unit_rows(raw, dim: int, what: str) -> np.ndarray:
 
 def load_measure(path) -> DiscreteMeasure:
     data = _load_strict(path, {"dim", "points", "weights"})
-    dim = int(data["dim"])
+    dim = _dim(path, data)
     points = _unit_rows(data["points"], dim, "points")
     return DiscreteMeasure(dim, points, np.asarray(data["weights"], dtype=float))
 
@@ -65,7 +72,7 @@ def save_measure(mu: DiscreteMeasure, path) -> None:
 
 def load_body(path) -> HyperbolicPolytope:
     data = _load_strict(path, {"dim", "directions", "radii"})
-    dim = int(data["dim"])
+    dim = _dim(path, data)
     directions = _unit_rows(data["directions"], dim, "directions")
     return from_vertices(dim, directions, np.asarray(data["radii"], dtype=float))
 

@@ -12,10 +12,12 @@ equals the true infimum.
 
 Every check is exact.  m=1 enumerates the arcs between support points and
 takes each arc's mass as a difference of cyclic prefix sums, O(N^2) in all.
-The m=2 check evaluates all 2^N - 1 subsets as bit masks, in blocks of 2^16
-that share their bits from 16 up, and is refused above EXHAUSTIVE_MAX_ATOMS
-atoms; there a converged ``solver.solve`` is the certificate of
-admissibility.
+The m=2 check evaluates all 2^N - 1 subsets as bit masks and is refused
+above EXHAUSTIVE_MAX_ATOMS atoms; there a converged ``solver.solve`` is the
+certificate of admissibility.  The pair geometry below is computed once per
+measure, and every mask's slack sits at its own index of one table of 2^N
+entries (``_slack_table``), filled in blocks of 2^16 masks that share their
+bits from 16 up.
 
 Each ordered pair with |p_i x p_j| >= 1e-8 gets c_ij = unit(p_i x p_j),
 d_ij = atan2(|p_i x p_j|, p_i.p_j) and the masks
@@ -94,6 +96,8 @@ class DiscreteMeasure:
             raise ValueError(f"points must have shape (N, {self.m + 1})")
         if weights.shape != (points.shape[0],):
             raise ValueError("weights must match the number of points")
+        if len(weights) == 0:
+            raise ValueError("a measure needs at least one atom")
         points = unit_rows(points, 1e-8, "support points must be unit vectors")
         if not np.all(np.isfinite(weights)) or weights.min() <= 0:
             raise ValueError("weights must be positive and finite")
@@ -370,55 +374,49 @@ def _sub_cubes(ends: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return entries | ends[row], row
 
 
-def _edge_sums(masks, n, ends, inner, arc, cover):
-    """2 pi minus the arcs of every edge, and the AND of the edges' covers, per mask.
+def _edge_sums(top, n, ends, inner, arc, cover):
+    """2 pi minus the arcs of every edge, and the AND of the edges' covers, for
+    each mask top << 16 | k of one block, at index k.
 
     Pair p is an edge of exactly the masks ends[p] | t, t a submask of
-    inner[p] & ~ends[p].  Masks that share their bits from 16 up form a
-    block; p reaches a block only if that part lies between its ends and its
-    inner mask, and there it reaches the low-16-bit sub-cube of its free
-    bits.  A pair with _HEAVY masks or more is applied alone, the others in
-    batches of up to _BLOCK entries.  Pairs run in ascending order, so every
-    mask's arcs are subtracted in one fixed order.
+    inner[p] & ~ends[p].  p reaches the block only if top lies between the
+    bits of its ends and of its inner mask from 16 up, and there it reaches
+    the low-16-bit sub-cube of its free bits.  A pair with _HEAVY masks or
+    more is applied alone, the others in batches of up to _BLOCK entries.
+    Pairs run in ascending order, so every mask's arcs are subtracted in one
+    fixed order.
     """
     low = _BLOCK - 1
     free = inner & ~ends & low
-    polar = np.empty(len(masks))
-    covered = np.empty(len(masks), dtype=np.int64)
-    high = masks >> 16
-    tops = np.flatnonzero(np.bincount(high))
-    for top in tops:
-        rows = np.flatnonzero(high == top) if len(tops) > 1 else slice(None)
-        block_polar = np.full(1 << min(n, 16), 2.0 * np.pi)
-        block_covered = np.full(len(block_polar), (1 << n) - 1, dtype=np.int64)
-        reach = np.flatnonzero(((ends >> 16) & ~top == 0) & (top & ~(inner >> 16) == 0))
-        size = _SUB_COUNT[free[reach] & 255] * _SUB_COUNT[free[reach] >> 8]
-        groups: list[list[int]] = []
-        queued = _BLOCK
-        for p, s in zip(reach.tolist(), size.tolist()):
-            if s >= _HEAVY or queued + s > _BLOCK:
-                groups.append([])
-                queued = 0
-            groups[-1].append(p)
-            queued = _BLOCK if s >= _HEAVY else queued + s  # nothing joins a heavy pair
-        for group in groups:
-            if len(group) == 1:  # one pair's masks are distinct
-                p = group[0]
-                cube = _byte_subs(free[p] >> 8)[:, None] << 8 | _byte_subs(free[p] & 255)
-                cube |= ends[p] & low
-                block_polar[cube] -= arc[p]
-                block_covered[cube] &= cover[p]
-            else:
-                entries, row = _sub_cubes(ends[group] & low, free[group])
-                np.subtract.at(block_polar, entries, arc[group][row])
-                np.bitwise_and.at(block_covered, entries, cover[group][row])
-        polar[rows] = block_polar[masks[rows] & low]
-        covered[rows] = block_covered[masks[rows] & low]
+    polar = np.full(1 << min(n, 16), 2.0 * np.pi)
+    covered = np.full(len(polar), (1 << n) - 1, dtype=np.int64)
+    reach = np.flatnonzero(((ends >> 16) & ~top == 0) & (top & ~(inner >> 16) == 0))
+    size = _SUB_COUNT[free[reach] & 255] * _SUB_COUNT[free[reach] >> 8]
+    groups: list[list[int]] = []
+    queued = _BLOCK
+    for p, s in zip(reach.tolist(), size.tolist()):
+        if s >= _HEAVY or queued + s > _BLOCK:
+            groups.append([])
+            queued = 0
+        groups[-1].append(p)
+        queued = _BLOCK if s >= _HEAVY else queued + s  # nothing joins a heavy pair
+    for group in groups:
+        if len(group) == 1:  # one pair's masks are distinct
+            p = group[0]
+            cube = _byte_subs(free[p] >> 8)[:, None] << 8 | _byte_subs(free[p] & 255)
+            cube |= ends[p] & low
+            polar[cube] -= arc[p]
+            covered[cube] &= cover[p]
+        else:
+            entries, row = _sub_cubes(ends[group] & low, free[group])
+            np.subtract.at(polar, entries, arc[group][row])
+            np.bitwise_and.at(covered, entries, cover[group][row])
     return polar, covered
 
 
-def _mask_slacks(mu: DiscreteMeasure, masks: np.ndarray) -> np.ndarray:
-    """Slacks of an int64 array of subset masks (see the module docstring)."""
+def _slack_table(mu: DiscreteMeasure) -> np.ndarray:
+    """The slack of every subset mask 0 ... 2^N - 1 at its own index, inf for
+    the empty mask and the full sphere (see the module docstring)."""
     pts, n = mu.points, mu.size
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     i, j = np.nonzero(~np.eye(n, dtype=bool))
@@ -438,35 +436,33 @@ def _mask_slacks(mu: DiscreteMeasure, masks: np.ndarray) -> np.ndarray:
     tables = [byte[:, :len(w)] @ w for w in np.split(mu.weights, range(8, n, 8))]
     total = mu.total
 
-    polar, covered = _edge_sums(masks, n, ends, inner, arc, cover)
-    mass = sum(t[(covered >> (8 * b)) & 255] for b, t in enumerate(tables))
-    slack = np.where(polar < 2.0 * np.pi, (total - mass) - polar, np.inf)  # no edge: full
-    two = masks & (masks - 1)
-    single = two == 0
+    slack = np.empty(1 << n)
+    index = np.arange(1 << min(n, 16))
+    for top in range(1 << max(n - 16, 0)):  # a block shares its bits from 16 up
+        polar, covered = _edge_sums(top, n, ends, inner, arc, cover)
+        mass = sum(t[(covered >> (8 * b)) & 255] for b, t in enumerate(tables))
+        block = slack[top << 16:][:len(index)]
+        block[:] = np.where(polar < 2.0 * np.pi, (total - mass) - polar, np.inf)  # no edge: full
+        # the supersets of a near-parallel pair or of a pair and a point of its great circle
+        degenerate = np.zeros(len(index), dtype=bool)
+        for b in bad[(bad >> 16) & ~top == 0] & (_BLOCK - 1):
+            degenerate |= (index & b) == b
+        for k in np.flatnonzero(degenerate):
+            block[k] = _subset_slack(mu, _mask_tuple(top << 16 | int(k)))
     # a point's polar is a hemisphere
-    slack[single] = (total - mu.weights[np.log2(masks[single]).astype(int)]) - 2.0 * np.pi
+    slack[bits] = (total - mu.weights) - 2.0 * np.pi
     # a pair's two edges cover its great circle: too much with a third point on it
-    degenerate = ~single & ((two & (two - 1)) == 0) & np.isin(masks, ends[pair])
-    for b in bad:
-        degenerate |= (masks & b) == b
-    for k in np.flatnonzero(degenerate):
-        slack[k] = _subset_slack(mu, _mask_tuple(int(masks[k])))
+    for mask in np.unique(ends[pair]).tolist():
+        slack[mask] = _subset_slack(mu, _mask_tuple(mask))
     return slack
 
 
 def _alexandrov_exhaustive(mu: DiscreteMeasure):
     """Minimal slack over all 2^N - 1 subset masks (see the module docstring)."""
-    best = np.inf
-    found: list[tuple[np.ndarray, np.ndarray]] = []
-    for lo in range(0, 1 << mu.size, _BLOCK):  # a block shares its bits from 16 up
-        masks = np.arange(max(lo, 1), min(lo + _BLOCK, 1 << mu.size), dtype=np.int64)
-        slack = _mask_slacks(mu, masks)
-        low = float(slack.min())
-        best = min(best, low)
-        near_min = slack <= low + 1e-15
-        found.append((masks[near_min], slack[near_min]))
-    witnesses = [_mask_tuple(int(m)) for ms, sl in found for m in ms[sl <= best + 1e-15]]
-    return best, min(witnesses, key=lambda t: (len(t), t))
+    slack = _slack_table(mu)
+    best = float(slack.min())
+    near = (_mask_tuple(int(m)) for m in np.flatnonzero(slack <= best + 1e-15))
+    return best, min(near, key=lambda t: (len(t), t)), len(slack) - 1
 
 
 def _mass_margins(mu: DiscreteMeasure) -> tuple[float, float, int]:
@@ -507,11 +503,8 @@ def check_conditions(mu: DiscreteMeasure) -> ConditionReport:
     eps = COND_EPS_FACTOR * sphere_measure(mu.m)
     total_excess, room, vmax_idx = _mass_margins(mu)
 
-    if mu.m == 1:
-        slack, witness, evaluated = _alexandrov_m1(mu)
-    else:
-        slack, witness = _alexandrov_exhaustive(mu)
-        evaluated = (1 << mu.size) - 1
+    alexandrov = _alexandrov_m1 if mu.m == 1 else _alexandrov_exhaustive
+    slack, witness, evaluated = alexandrov(mu)
     alexandrov_ok = bool(slack > eps)
 
     return ConditionReport(

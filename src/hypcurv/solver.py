@@ -39,7 +39,7 @@ import numpy as np
 from .bodies import HyperbolicPolytope, exterior_angles, from_vertices
 from .ctransform import PSI_FLOOR, PotentialVector, kernel_for
 from .densities import G_psi, g_psi
-from .errors import HypcurvError, PreconditionError
+from .errors import PreconditionError
 from .measures import (EXHAUSTIVE_MAX_ATOMS, ConditionReport, DiscreteMeasure,
                        check_conditions, mass_violation)
 from .minkowski import sphere_measure
@@ -177,7 +177,7 @@ def _newton(mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
             if trial.max() < -PSI_FLOOR:
                 try:
                     trial_body, trial_alpha, trial_jac = _angles(mu, trial)
-                except (HypcurvError, ValueError):
+                except ValueError:
                     pass
                 else:
                     res = float(np.abs(trial_alpha - mu.weights).max())
@@ -220,7 +220,7 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
     psi0 = np.full(mu.size, _ball_heuristic_psi(mu))
     try:
         psi, body, alpha, history, dampings, reason = _newton(mu, psi0, cfg)
-    except (HypcurvError, ValueError) as exc:
+    except ValueError as exc:
         return SolveReport(
             psi=PotentialVector(mu.m, mu.points, psi0),
             converged=False,

@@ -96,6 +96,17 @@ class TestJson:
         with pytest.raises(ValueError, match="missing fields"):
             hio.load_measure(path)
 
+    @pytest.mark.parametrize("dim", [2.7, True, "2", 1.0])
+    def test_dim_must_be_a_json_integer(self, tmp_path, dim):
+        measure = tmp_path / "m.json"
+        measure.write_text(json.dumps({"dim": dim, "points": [[1.0, 0.0]], "weights": [3.0]}))
+        body = tmp_path / "b.json"
+        body.write_text(json.dumps({"dim": dim, "directions": [[1.0, 0.0]], "radii": [1.0]}))
+        for load, path in ((hio.load_measure, measure), (hio.load_body, body)):
+            with pytest.raises(ValueError, match="'dim' must be a JSON integer"):
+                load(path)
+        assert main(["check", str(measure)]) == 2
+
     def test_near_unit_renormalized_far_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         pts = [[1.0 + 5e-7, 0.0], [0.0, 1.0], [-1.0, 0.0]]

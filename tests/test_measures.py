@@ -10,8 +10,8 @@ from hypcurv.measures import (
     _CONTAIN_EPS,
     EXHAUSTIVE_MAX_ATOMS,
     DiscreteMeasure,
-    _mask_slacks,
     _mask_tuple,
+    _slack_table,
     _subset_slack,
     check_conditions,
     polar_sigma_area,
@@ -56,6 +56,10 @@ class TestValidation:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             measure_m1([0.0, 1.0], [1.0, 0.0])
+
+    def test_rejects_empty_measure(self):
+        with pytest.raises(ValueError, match="at least one atom"):
+            DiscreteMeasure(2, np.zeros((0, 3)), np.zeros(0))
 
     def test_rejects_near_duplicates(self):
         with pytest.raises(ValueError):
@@ -383,12 +387,11 @@ def test_exhaustive_matches_per_subset_oracle(name, mu):
 def test_singletons_and_pairs_match_their_own_hulls(name, mu):
     # the mask path's shortcuts against the per-subset hull, for every
     # subset of one or two points
-    masks = np.array([1 << i for i in range(mu.size)]
-                     + [1 << i | 1 << j for i, j in combinations(range(mu.size), 2)],
-                     dtype=np.int64)
-    slacks = _mask_slacks(mu, masks)
-    for mask, slack in zip(masks.tolist(), slacks):
-        expected = _subset_slack(mu, _mask_tuple(mask))
+    masks = [1 << i for i in range(mu.size)]
+    masks += [1 << i | 1 << j for i, j in combinations(range(mu.size), 2)]
+    table = _slack_table(mu)
+    for mask in masks:
+        slack, expected = table[mask], _subset_slack(mu, _mask_tuple(mask))
         if mask & (mask - 1) == 0:
             assert slack == expected, mask
         else:
@@ -465,9 +468,9 @@ def test_mask_slacks_match_every_subset_hull(kind, polar, azimuth, offsets, weig
     assume(min(np.linalg.norm(p - q) for p, q in combinations(pts, 2)) > 1e-3)
     assume(min(abs(np.cross(p, q) @ r) for p, q, r in combinations(pts, 3)) > 1e-3)
     mu = DiscreteMeasure(2, pts, np.array(weights[:len(pts)]))
-    masks = np.arange(1, 1 << mu.size, dtype=np.int64)
-    for mask, slack in zip(masks.tolist(), _mask_slacks(mu, masks)):
-        expected = _subset_slack(mu, _mask_tuple(mask))
+    table = _slack_table(mu)
+    for mask in range(1, 1 << mu.size):
+        slack, expected = table[mask], _subset_slack(mu, _mask_tuple(mask))
         if mask & (mask - 1) == 0 or np.isinf(expected):
             assert slack == expected, mask
         else:
@@ -476,20 +479,23 @@ def test_mask_slacks_match_every_subset_hull(kind, polar, azimuth, offsets, weig
             assert abs(slack - expected) <= 1e-12, mask
 
 
-def test_mask_slacks_of_any_mask_order_are_the_full_range_values():
-    # masks on both sides of 2^16, shuffled, with repeats: the same bits as
-    # the full range in one call and block by block
+def test_slack_table_across_block_boundaries():
+    # 18 atoms fill four blocks of 2^16 masks; the table against each
+    # subset's own hull at the masks around every block boundary and at
+    # random masks
     rng = np.random.default_rng(11)
     mu = DiscreteMeasure(2, hc.minkowski.random_unit_vectors(2, 18, rng),
                          rng.uniform(0.5, 2.0, size=18))
-    every = np.arange(1, 1 << 18, dtype=np.int64)
-    full = _mask_slacks(mu, every)
-    blocks = [_mask_slacks(mu, every[lo:lo + (1 << 16)]) for lo in range(0, len(every), 1 << 16)]
-    assert np.array_equal(np.concatenate(blocks), full)
-    edge = np.arange((1 << 16) - 40, (1 << 16) + 40, dtype=np.int64)
-    picked = np.concatenate([rng.choice(every, 3000), edge, edge[::7], [1, (1 << 18) - 1]])
-    rng.shuffle(picked)
-    assert np.array_equal(_mask_slacks(mu, picked), full[picked - 1])
+    table = _slack_table(mu)
+    assert len(table) == 1 << 18 and table[0] == np.inf
+    edges = [np.arange(k * (1 << 16) - 40, k * (1 << 16) + 40) for k in (1, 2, 3)]
+    picked = np.concatenate(edges + [rng.integers(1, 1 << 18, size=2000)])
+    for mask in picked.tolist():
+        slack, expected = table[mask], _subset_slack(mu, _mask_tuple(mask))
+        if mask & (mask - 1) == 0 or np.isinf(expected):
+            assert slack == expected, mask
+        else:
+            assert abs(slack - expected) <= 1e-12, mask
 
 
 def test_twenty_atom_body_measure_passes():
