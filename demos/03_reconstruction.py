@@ -5,8 +5,11 @@ angle, so the inverse problem is solved by damped Newton on the exact
 angles alpha(r) = a, in the potentials psi_i = log tanh r_i; the recovered
 radii are r_i = artanh(e^{psi_i}).  The script round-trips a known body
 (forward measure -> solve -> compare radii), then reconstructs a body from a
-hand-written measure.
+hand-written measure, and ends with a table of solve times as the body
+grows.
 """
+
+import resource
 
 import numpy as np
 
@@ -50,3 +53,29 @@ octa = hc.from_vertices(2, octa_dirs, np.ones(6))
 mu3 = hc.curvature_measure_integral(octa)
 report3 = hc.solve(mu3)
 print(f"converged: {report3.converged}, radii:", np.round(report3.body.radii, 6))
+
+print()
+print("== scaling: icosphere and polygon round trips ==")
+# Icosphere bodies with radii moved by up to 2e-3 relative, and regular
+# polygons with radii moved by up to (1 - cos(2 pi / n)) / 2 relative, which
+# keeps every vertex extreme.  "hull calls" counts the solve's from_vertices
+# calls; "peak MB" is the process peak after the solve.
+rng = np.random.default_rng(11)
+cases = []
+for level in (2, 3, 4):
+    base = hc.icosphere_body(level, 1.0)
+    radii = base.radii * (1.0 + rng.uniform(-2e-3, 2e-3, base.n_vertices))
+    cases.append((f"icosphere level {level}", hc.from_vertices(2, base.directions, radii)))
+for n in (256, 1024):
+    base = hc.regular_polygon(n, 1.0)
+    wiggle = 0.5 * (1.0 - np.cos(2.0 * np.pi / n))
+    radii = base.radii * (1.0 + rng.uniform(-wiggle, wiggle, n))
+    cases.append((f"{n}-gon", hc.from_vertices(1, base.directions, radii)))
+print(f"{'body':>18} {'vertices':>8} {'wall s':>8} {'iters':>5} {'hull calls':>10} "
+      f"{'radius err':>10} {'peak MB':>8}")
+for label, body in cases:
+    report = hc.solve(hc.curvature_measure_angles(body))
+    err = np.abs(report.body.radii - body.radii).max() / body.radii.min()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"{label:>18} {body.n_vertices:>8} {report.wall_time:>8.3f} {report.iterations:>5} "
+          f"{report.hull_calls:>10} {err:>10.1e} {peak:>8.1f}")

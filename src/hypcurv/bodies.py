@@ -20,7 +20,13 @@ vertex directions.  Two independent routes compute it:
 Their agreement is one of the package's main self-checks.  The corner
 formula also gives its own partial derivatives in the radii, so
 ``exterior_angles`` returns the angles and d alpha / d r together from one
-pass over the corners; the Newton solve of ``solver`` runs on it.
+pass over the corners.  The formula has two parts: a ``CornerFrame`` of
+what depends on the directions alone (cross products, |xi_i - xi_j|^2 / 2,
+the spherical turn at each corner and the Jacobian's flat indices), built
+once per face set, and ``_corner_angles``, which adds the radii.  The
+Newton solve of ``solver`` keeps a validated body's ``FaceSet`` and its
+frame across trials, and runs qhull again only when the test of
+``FaceSet.bound`` fails.
 """
 
 from __future__ import annotations
@@ -202,33 +208,83 @@ def polar_boundary_area(poly: HyperbolicPolytope) -> float:
     return math.fsum(measure.weights)
 
 
+def _cycle_corners(order: np.ndarray):
+    """The corners (i, j, k) of a polygon with counterclockwise vertex order."""
+    return order, np.concatenate([order[-1:], order[:-1]]), np.concatenate([order[1:], order[:1]])
+
+
 def _corners(poly: HyperbolicPolytope):
     """Directions as (3, N) columns and the hull's corners (i, j, k): vertex i
     between its edges to j and k, one per m=1 vertex and three per m=2 triangle."""
     if poly.m == 1:
-        i = poly.order
-        j, k = np.concatenate([i[-1:], i[:-1]]), np.concatenate([i[1:], i[:1]])
+        i, j, k = _cycle_corners(poly.order)
     else:
         i, j, k = (poly.simplices[:, turn].ravel() for turn in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
-    # m=1 directions lie in the plane z = 0, where every turn is pi
-    dirs = np.zeros((3, poly.n_vertices))
-    dirs[:poly.m + 1] = poly.directions.T
-    return dirs, i, j, k
+    return _columns(poly.directions), i, j, k
 
 
-def _corner_angles(dirs: np.ndarray, radii: np.ndarray, i, j, k):
+def _columns(directions: np.ndarray) -> np.ndarray:
+    """Directions as (3, N) columns; m=1 directions lie in the plane z = 0,
+    where every turn of the corner formula is pi."""
+    dirs = np.zeros((3, directions.shape[0]))
+    dirs[:directions.shape[1]] = directions.T
+    return dirs
+
+
+@dataclass(frozen=True)
+class CornerFrame:
+    """The part of the corner formula that depends on the directions alone.
+
+    Built once per face set by :func:`corner_frame`; :func:`_corner_angles`
+    adds the radii.  Corner c sits at vertex ``i[c]`` between its edges to
+    ``ends[0, c]`` and ``ends[1, c]``.
+    """
+
+    m: int
+    n: int                  # vertices
+    i: np.ndarray           # (K,)
+    ends: np.ndarray        # (2, K)
+    s: np.ndarray           # (2, K) S_ij = |xi_i x xi_j|
+    half_gap: np.ndarray    # (2, K) |xi_i - xi_j|^2 / 2
+    sin2_half_turn: np.ndarray   # (K,) sin^2(phi / 2)
+    cos2_half_turn: np.ndarray   # (K,) cos^2(phi / 2)
+    cos_turn: np.ndarray         # (K,) cos phi
+    flat: np.ndarray        # (3K,) Jacobian entries i*N + column for columns i, j, k
+
+
+def corner_frame(m: int, dirs: np.ndarray, i, j, k) -> CornerFrame:
+    """The direction-only frame of the corners (i, j, k); ``dirs`` holds the
+    directions as (3, N) columns, as ``_corners`` returns them."""
+    ends = np.stack([j, k])
+    x, y = dirs[:, i][:, None], dirs[:, ends]             # (3, 1, K), (3, 2, K)
+    normals = x[[1, 2, 0]] * y[[2, 0, 1]] - x[[2, 0, 1]] * y[[1, 2, 0]]   # x cross y
+    # (xi_i cross xi_j) cross (xi_i cross xi_k) = det(xi_i, xi_j, xi_k) xi_i
+    turn = np.arctan2(np.abs((normals[:, 0] * y[:, 1]).sum(axis=0)),
+                      (normals[:, 0] * normals[:, 1]).sum(axis=0))
+    n = dirs.shape[1]
+    return CornerFrame(
+        m=m, n=n, i=i, ends=ends,
+        s=np.sqrt((normals * normals).sum(axis=0)),
+        half_gap=0.5 * ((x - y) ** 2).sum(axis=0),
+        sin2_half_turn=np.sin(0.5 * turn) ** 2,
+        cos2_half_turn=np.cos(0.5 * turn) ** 2,
+        cos_turn=np.cos(turn),
+        flat=np.concatenate([i * n + i, i * n + j, i * n + k]),
+    )
+
+
+def _corner_angles(frame: CornerFrame, radii: np.ndarray):
     """Angle c at vertex i between its hull edges to vertices j and k, and
     its partial derivatives in r_i, r_j and r_k.
 
-    ``dirs`` holds the directions as (3, N) columns.  Seen from vertex i, the
-    edge to j leaves at the angle B_ij = atan2(S_ij, N_ij) from the geodesic
-    back to o, with S_ij = |xi_i x xi_j| and N_ij = sinh(r_i - r_j) / sinh r_j
-    + cosh r_i |xi_i - xi_j|^2 / 2 (= sinh r_i coth r_j - cosh r_i cos theta_ij
-    without the cancellation of close vertices).  The edges to j and k are
-    turned about that geodesic by the spherical angle phi at xi_i between xi_j
-    and xi_k, which does not move with the radii.  The spherical law of
-    cosines in half-angle form gives c from both sides, so it keeps its
-    digits near 0 and near pi:
+    Seen from vertex i, the edge to j leaves at the angle B_ij = atan2(S_ij,
+    N_ij) from the geodesic back to o, with S_ij = |xi_i x xi_j| and N_ij =
+    sinh(r_i - r_j) / sinh r_j + cosh r_i |xi_i - xi_j|^2 / 2 (= sinh r_i
+    coth r_j - cosh r_i cos theta_ij without the cancellation of close
+    vertices).  The edges to j and k are turned about that geodesic by the
+    spherical angle phi at xi_i between xi_j and xi_k, which does not move
+    with the radii.  The spherical law of cosines in half-angle form gives c
+    from both sides, so it keeps its digits near 0 and near pi:
 
         sin^2(c/2) = sin^2((B_ij - B_ik)/2) + sin B_ij sin B_ik sin^2(phi/2)
         cos^2(c/2) = cos^2((B_ij + B_ik)/2) + sin B_ij sin B_ik cos^2(phi/2)
@@ -236,32 +292,37 @@ def _corner_angles(dirs: np.ndarray, radii: np.ndarray, i, j, k):
     The derivatives chain sin c dc/dB_ij = sin B_ij cos B_ik - cos B_ij
     sin B_ik cos phi, dB_ij = -S_ij dN_ij / (S_ij^2 + N_ij^2), dN_ij/dr_i =
     cosh(r_i - r_j) / sinh r_j + sinh r_i |xi_i - xi_j|^2 / 2 and dN_ij/dr_j =
-    -sinh r_i / sinh^2 r_j.
+    -sinh r_i / sinh^2 r_j.  Everything that depends on the directions alone
+    (S_ij, |xi_i - xi_j|^2 / 2 and the terms in phi) comes from ``frame``.
     """
-    ends = np.stack([j, k])
-    x, y = dirs[:, i][:, None], dirs[:, ends]             # (3, 1, K), (3, 2, K)
-    normals = x[[1, 2, 0]] * y[[2, 0, 1]] - x[[2, 0, 1]] * y[[1, 2, 0]]   # x cross y
-    gap = ((x - y) ** 2).sum(axis=0)
-    r_i, r_ends = radii[i], radii[ends]
+    r_i, r_ends = radii[frame.i], radii[frame.ends]
     sinh_ends = np.sinh(r_ends)
-    s = np.sqrt((normals * normals).sum(axis=0))
-    n = np.sinh(r_i - r_ends) / sinh_ends + 0.5 * np.cosh(r_i) * gap
+    s = frame.s
+    n = np.sinh(r_i - r_ends) / sinh_ends + np.cosh(r_i) * frame.half_gap
     fan = np.arctan2(s, n)
-    # (xi_i cross xi_j) cross (xi_i cross xi_k) = det(xi_i, xi_j, xi_k) xi_i
-    turn = np.arctan2(np.abs((normals[:, 0] * y[:, 1]).sum(axis=0)),
-                      (normals[:, 0] * normals[:, 1]).sum(axis=0))
     sin_fan, cos_fan = np.sin(fan), np.cos(fan)
     both = sin_fan[0] * sin_fan[1]
-    half_sin = np.sin(0.5 * (fan[0] - fan[1])) ** 2 + both * np.sin(0.5 * turn) ** 2
-    half_cos = np.cos(0.5 * (fan[0] + fan[1])) ** 2 + both * np.cos(0.5 * turn) ** 2
+    half_sin = np.sin(0.5 * (fan[0] - fan[1])) ** 2 + both * frame.sin2_half_turn
+    half_cos = np.cos(0.5 * (fan[0] + fan[1])) ** 2 + both * frame.cos2_half_turn
     corner = 2.0 * np.arctan2(np.sqrt(half_sin), np.sqrt(half_cos))
 
     # dc/dN_ij and dc/dN_ik
-    slope = ((sin_fan * cos_fan[::-1] - cos_fan * sin_fan[::-1] * np.cos(turn))
+    slope = ((sin_fan * cos_fan[::-1] - cos_fan * sin_fan[::-1] * frame.cos_turn)
              / np.sin(corner) * (-s / (s * s + n * n)))
-    dn_di = np.cosh(r_i - r_ends) / sinh_ends + 0.5 * np.sinh(r_i) * gap
-    dc_dj, dc_dk = slope * (-np.sinh(r_i) / sinh_ends ** 2)
+    sinh_i = np.sinh(r_i)
+    dn_di = np.cosh(r_i - r_ends) / sinh_ends + sinh_i * frame.half_gap
+    dc_dj, dc_dk = slope * (-sinh_i / sinh_ends ** 2)
     return corner, (slope * dn_di).sum(axis=0), dc_dj, dc_dk
+
+
+def angles_and_jacobian(frame: CornerFrame, radii: np.ndarray):
+    """The exterior angles alpha and d alpha / d r as a dense (N, N) array,
+    from one pass of the corner formula over the frame's corners."""
+    corners, d_i, d_j, d_k = _corner_angles(frame, radii)
+    alpha = frame.m * np.pi - np.bincount(frame.i, corners, minlength=frame.n)
+    # entries of the flat index i*N + column, summed in the order i, j, k
+    jac = np.bincount(frame.flat, -np.concatenate([d_i, d_j, d_k]), minlength=frame.n ** 2)
+    return alpha, jac.reshape(frame.n, frame.n)
 
 
 def curvature_measure_angles(poly: HyperbolicPolytope):
@@ -270,9 +331,9 @@ def curvature_measure_angles(poly: HyperbolicPolytope):
     alpha_i is m pi minus the sum of the corner angles at vertex i; for m=2
     its triangles' corners add up to the angles of its faces.
     """
-    dirs, i, j, k = _corners(poly)
-    corners = _corner_angles(dirs, poly.radii, i, j, k)[0]
-    alpha = poly.m * np.pi - np.bincount(i, corners, minlength=poly.n_vertices)
+    frame = corner_frame(poly.m, *_corners(poly))
+    corners = _corner_angles(frame, poly.radii)[0]
+    alpha = poly.m * np.pi - np.bincount(frame.i, corners, minlength=poly.n_vertices)
     return DiscreteMeasure(poly.m, poly.directions, alpha)
 
 
@@ -285,14 +346,105 @@ def exterior_angles(poly: HyperbolicPolytope):
     the corners at vertex i, so it is nonzero only at i and at the vertices
     joined to i by a hull edge.
     """
-    dirs, i, j, k = _corners(poly)
-    corners, d_i, d_j, d_k = _corner_angles(dirs, poly.radii, i, j, k)
-    n = poly.n_vertices
-    alpha = poly.m * np.pi - np.bincount(i, corners, minlength=n)
-    # entries of the flat index i*N + column, summed in the order i, j, k
-    flat = np.concatenate([i * n + i, i * n + j, i * n + k])
-    jac = np.bincount(flat, -np.concatenate([d_i, d_j, d_k]), minlength=n * n)
-    return alpha, jac.reshape(n, n)
+    return angles_and_jacobian(corner_frame(poly.m, *_corners(poly)), poly.radii)
+
+
+# -- kept faces --------------------------------------------------------------
+
+# (e_y, e_x) * _CLOCKWISE = (e_y, -e_x) is the edge e turned a quarter turn
+# clockwise: the outward normal of a counterclockwise polygon edge
+_CLOCKWISE = np.array([1.0, -1.0])
+
+
+@dataclass(frozen=True)
+class FaceSet:
+    """The faces of a validated body, kept while its radii change.
+
+    ``faces`` lists each face's vertices in outward order: the (F, 2)
+    counterclockwise edges of an m=1 polygon, the (F, 3) triangles of an m=2
+    hull, counterclockwise seen from outside.  ``opposite[f, e]`` is the
+    vertex of the neighbouring face across edge e of face f: the edge from
+    ``faces[f, e]`` for m=2, the endpoint ``faces[f, 1]`` for m=1.
+    ``frame`` is the corner frame of the faces.
+    """
+
+    directions: np.ndarray
+    faces: np.ndarray
+    opposite: np.ndarray
+    frame: CornerFrame
+
+    def bound(self, radii: np.ndarray) -> bool:
+        """Whether these faces are the faces of the valid body with these radii.
+
+        With p_i = tanh(r_i) xi_i, det(p_a, p_b, p_c) = t_a t_b t_c det(xi_a,
+        xi_b, xi_c), so every face keeps its orientation about the basepoint
+        and the faces stay a closed surface, star-shaped about it.  The test
+        asks, besides the checks of ``from_vertices`` on the radii, that every
+        face's support be at least MIN_SUPPORT and that every opposite vertex
+        lie strictly below the face.  Then the surface is strictly locally
+        convex, so it bounds a convex body whose vertices are all the p_i and
+        whose faces are these, and ``from_vertices`` accepts the radii.
+        """
+        # a NaN or -inf radius fails the first test, +inf the second
+        if not radii.min() > 0:
+            return False
+        t = np.tanh(radii)
+        top = t.max()
+        if not top < 1.0:
+            return False
+        # scaled so that the normals' squared norms cannot underflow
+        q = (t / top)[:, None] * self.directions
+        base = q[self.faces[:, 0]]
+        edge = q[self.faces[:, 1]] - base
+        if self.faces.shape[1] == 2:
+            normal = edge[:, ::-1] * _CLOCKWISE
+        else:
+            other = q[self.faces[:, 2]] - base
+            normal = np.column_stack([edge[:, 1] * other[:, 2] - edge[:, 2] * other[:, 1],
+                                      edge[:, 2] * other[:, 0] - edge[:, 0] * other[:, 2],
+                                      edge[:, 0] * other[:, 1] - edge[:, 1] * other[:, 0]])
+        height = (normal * base).sum(axis=1)
+        norm = np.sqrt((normal * normal).sum(axis=1))
+        below = (normal[:, None] * (q[self.opposite] - base[:, None])).sum(axis=2)
+        return bool(norm.min() > 0 and (top * height / norm).min() >= MIN_SUPPORT
+                    and below.max() < 0)
+
+
+def cycle_faces(directions: np.ndarray, order: np.ndarray | None = None) -> FaceSet:
+    """The faces of the m=1 polygon whose vertices run counterclockwise in
+    ``order``, by default the directions sorted by angle."""
+    if order is None:
+        order = np.argsort(np.arctan2(directions[:, 1], directions[:, 0]))
+    i, j, k = _cycle_corners(order)
+    return FaceSet(directions=directions, faces=np.column_stack([i, k]),
+                   opposite=np.roll(order, -2)[:, None],
+                   frame=corner_frame(1, _columns(directions), i, j, k))
+
+
+def body_faces(poly: HyperbolicPolytope) -> FaceSet:
+    """The faces of a body that ``from_vertices`` built.
+
+    The corner frame keeps qhull's triangles as they are, so that it equals
+    the one ``exterior_angles`` builds.  The faces are those triangles
+    turned outward; the vertex across each directed edge is read off the
+    edge running the other way, found by sorting the edge keys.
+    """
+    if poly.m == 1:
+        return cycle_faces(poly.directions, poly.order)
+    tri, p, n = poly.simplices, poly.klein_vertices, poly.n_vertices
+    inward = (np.cross(p[tri[:, 1]] - p[tri[:, 0]], p[tri[:, 2]] - p[tri[:, 0]])
+              * poly.facet_normals).sum(axis=1) < 0
+    faces = np.where(inward[:, None], tri[:, [0, 2, 1]], tri)
+    tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    keys = tails * n + heads
+    order = np.argsort(keys)
+    twin = order[np.minimum(np.searchsorted(keys[order], heads * n + tails), len(keys) - 1)]
+    # an edge without a twin gets the face's first vertex, which does not lie
+    # strictly below the face, so such a face set is never kept
+    opposite = np.where(keys[twin] == heads * n + tails,
+                        np.roll(faces, -2, axis=1).ravel()[twin], np.repeat(faces[:, 0], 3))
+    return FaceSet(directions=poly.directions, faces=faces, opposite=opposite.reshape(faces.shape),
+                   frame=corner_frame(2, *_corners(poly)))
 
 
 # -- area, isometries, generators ------------------------------------------

@@ -46,7 +46,7 @@ class PotentialVector:
     values: np.ndarray
 
     def __post_init__(self):
-        validate_dimension(self.m)
+        object.__setattr__(self, "m", validate_dimension(self.m))
         support = np.asarray(self.support, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if support.ndim != 2 or support.shape[1] != self.m + 1:

@@ -89,7 +89,7 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        validate_dimension(self.m)
+        object.__setattr__(self, "m", validate_dimension(self.m))
         points = np.asarray(self.points, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.m + 1:

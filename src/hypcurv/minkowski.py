@@ -25,11 +25,11 @@ TIE_EPS = 1e-9
 
 
 def validate_dimension(m: int) -> int:
-    """Check that the sphere dimension is supported and return it as int."""
-    m = int(m)
-    if m not in (1, 2):
-        raise UnsupportedDimensionError(f"dimension m={m} not supported, use 1 or 2")
-    return m
+    """Check that the sphere dimension is a Python or numpy integer (not a
+    bool) equal to 1 or 2, and return it as int."""
+    if isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, np.integer)) or m not in (1, 2):
+        raise UnsupportedDimensionError(f"dimension m={m!r} not supported, use the integer 1 or 2")
+    return int(m)
 
 
 def basepoint(m: int) -> np.ndarray:

@@ -4,10 +4,18 @@ The atom of a polytope's curvature measure at the vertex direction xi_i is
 its exterior angle alpha_i(r), and an admissible measure is the curvature
 measure of exactly one body.  So ``solve`` looks for the radii with
 alpha(r) = a.  It works in the potentials psi_i = log tanh r_i < 0 and runs
-damped Newton on the residual alpha(psi) - a, which ``from_vertices`` and
-``bodies.exterior_angles`` evaluate exactly, with no grid:
+damped Newton on the residual alpha(psi) - a, which the corner formula of
+``bodies`` evaluates exactly, with no grid:
 
 * the start is the ball whose total curvature is the measure's total;
+* each trial is evaluated on the faces of the last body validated
+  (``bodies.FaceSet``).  While they stay strictly locally convex about the
+  basepoint they are the body's faces, so the trial needs no hull and no
+  re-validation, and the direction-only part of the corner formula is built
+  once per face set.  Otherwise ``from_vertices`` decides: it rejects the
+  trial, or its faces are kept from then on.  The m=1 faces are the angular
+  cycle of the support, fixed by the measure, so an m=1 solve runs qhull
+  only for the body it returns;
 * one pass of the corner formula gives each trial's angles and its Jacobian,
   d alpha / d r in closed form, times dr/dpsi = sinh r cosh r; weighted by
   cosh r it is symmetric, the Hessian of the paper's dual functional, whose
@@ -36,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import HyperbolicPolytope, exterior_angles, from_vertices
+from .bodies import (HyperbolicPolytope, angles_and_jacobian, body_faces, cycle_faces,
+                     from_vertices)
 from .ctransform import PSI_FLOOR, PotentialVector, kernel_for
 from .densities import G_psi, g_psi
 from .errors import PreconditionError
@@ -76,7 +85,11 @@ class SolveReport:
     ``residual_history[1:]``, so it has ``iterations`` entries.
     ``condition_report`` is None for m=2 above EXHAUSTIVE_MAX_ATOMS atoms,
     where only the two O(N) conditions are checked and a converged solve
-    certifies the measure.
+    certifies the measure.  ``hull_calls`` counts the solve's calls of
+    ``from_vertices``: one for the returned body, one for the first faces of
+    an m=2 solve, and one for each trial the kept faces do not bound.  So an
+    m=1 solve whose trials all give valid bodies makes exactly one, for the
+    final body.
     """
 
     psi: PotentialVector
@@ -89,6 +102,7 @@ class SolveReport:
     body: HyperbolicPolytope | None = None
     condition_report: ConditionReport | None = None
     restarts_used: int = 0      # the solve never restarts
+    hull_calls: int = 0
     wall_time: float = 0.0
     extraction_error: str | None = None
 
@@ -139,36 +153,58 @@ def _ball_heuristic_psi(mu: DiscreteMeasure) -> float:
     return float(np.log(np.tanh(max(r0, 1e-3))))
 
 
-def _angles(mu: DiscreteMeasure, psi: np.ndarray):
-    """The body with potentials psi, its exterior angles and d alpha / d psi.
+class _Trials:
+    """Exterior angles of Newton trials, on the faces of the last body validated.
 
-    Raises if the body is invalid or some exterior angle is not positive.
-    d alpha / d psi is d alpha / d r times dr/dpsi = sinh r cosh r.
+    A trial whose radii the kept faces bound (``FaceSet.bound``) takes one
+    pass of the corner formula over their frame.  Otherwise ``from_vertices``
+    decides: it raises, which rejects the trial, or its body's faces are kept
+    from then on.  ``hull_calls`` counts the calls of ``from_vertices``.
     """
-    body = from_vertices(mu.m, mu.points, np.arctanh(np.exp(psi)))
-    alpha, jac = exterior_angles(body)
-    if not alpha.min() > 0:
-        raise ValueError("every exterior angle must be positive")
-    jac *= np.sinh(body.radii) * np.cosh(body.radii)
-    return body, alpha, jac
+
+    def __init__(self, mu: DiscreteMeasure):
+        self.mu = mu
+        # the m=1 faces are fixed by the measure; m=2 needs a first hull
+        self.faces = cycle_faces(mu.points) if mu.m == 1 else None
+        self.hull_calls = 0
+
+    def body(self, radii: np.ndarray) -> HyperbolicPolytope:
+        """The body with these radii, built and validated by ``from_vertices``."""
+        self.hull_calls += 1
+        return from_vertices(self.mu.m, self.mu.points, radii)
+
+    def __call__(self, psi: np.ndarray):
+        """The exterior angles of the body with potentials psi and d alpha / d psi.
+
+        Raises if the body is invalid or some exterior angle is not positive.
+        d alpha / d psi is d alpha / d r times dr/dpsi = sinh r cosh r.
+        """
+        radii = np.arctanh(np.exp(psi))
+        if self.faces is None or not self.faces.bound(radii):
+            self.faces = body_faces(self.body(radii))
+        alpha, jac = angles_and_jacobian(self.faces.frame, radii)
+        if not alpha.min() > 0:
+            raise ValueError("every exterior angle must be positive")
+        jac *= np.sinh(radii) * np.cosh(radii)
+        return alpha, jac
 
 
-def _newton(mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
+def _newton(trials: _Trials, mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
     """Damped Newton on alpha(psi) = a from a valid start.
 
-    Returns (psi, body, alpha, residual history, damping history, stop reason).
+    Returns (psi, alpha, residual history, damping history, stop reason).
     """
-    body, alpha, jac = _angles(mu, psi)
+    alpha, jac = trials(psi)
     history = [float(np.abs(alpha - mu.weights).max())]
     dampings = []
     tol = cfg.tol * mu.total
     while history[-1] > tol:
         if len(history) > cfg.max_iter:
-            return psi, body, alpha, history, dampings, "max_iter"
+            return psi, alpha, history, dampings, "max_iter"
         try:
             step = np.linalg.solve(jac, mu.weights - alpha)
         except np.linalg.LinAlgError:
-            return psi, body, alpha, history, dampings, "damping"
+            return psi, alpha, history, dampings, "damping"
         damping = 1.0
         while True:
             trial = psi + damping * step
@@ -176,7 +212,7 @@ def _newton(mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
             # rejects a NaN step
             if trial.max() < -PSI_FLOOR:
                 try:
-                    trial_body, trial_alpha, trial_jac = _angles(mu, trial)
+                    trial_alpha, trial_jac = trials(trial)
                 except ValueError:
                     pass
                 else:
@@ -185,11 +221,11 @@ def _newton(mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
                         break
             damping *= 0.5
             if damping < MIN_DAMPING:
-                return psi, body, alpha, history, dampings, "damping"
-        psi, body, alpha, jac = trial, trial_body, trial_alpha, trial_jac
+                return psi, alpha, history, dampings, "damping"
+        psi, alpha, jac = trial, trial_alpha, trial_jac
         history.append(res)
         dampings.append(damping)
-    return psi, body, alpha, history, dampings, "converged"
+    return psi, alpha, history, dampings, "converged"
 
 
 def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
@@ -218,8 +254,9 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
         raise PreconditionError(None, failure)
 
     psi0 = np.full(mu.size, _ball_heuristic_psi(mu))
+    trials = _Trials(mu)
     try:
-        psi, body, alpha, history, dampings, reason = _newton(mu, psi0, cfg)
+        psi, alpha, history, dampings, reason = _newton(trials, mu, psi0, cfg)
     except ValueError as exc:
         return SolveReport(
             psi=PotentialVector(mu.m, mu.points, psi0),
@@ -228,9 +265,15 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
             stop_reason="geometry",
             residuals=np.full(mu.size, np.inf),
             condition_report=cond,
+            hull_calls=trials.hull_calls,
             wall_time=time.perf_counter() - start,
             extraction_error=str(exc),
         )
+    body, error = None, None
+    try:
+        body = trials.body(np.arctanh(np.exp(psi)))
+    except ValueError as exc:
+        error = str(exc)
     return SolveReport(
         psi=PotentialVector(mu.m, mu.points, psi),
         converged=reason == "converged",
@@ -241,5 +284,7 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
         residuals=np.abs(alpha - mu.weights) / mu.weights,
         body=body,
         condition_report=cond,
+        hull_calls=trials.hull_calls,
         wall_time=time.perf_counter() - start,
+        extraction_error=error,
     )

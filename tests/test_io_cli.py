@@ -210,6 +210,13 @@ class TestCli:
         rep = json.loads((workdir / "rt" / "roundtrip_report.json").read_text())
         assert rep["max_rel_radius_error"] < 1e-4
 
+    def test_solve_report_counts_hull_calls(self, fixture_dir, workdir):
+        # an m=1 solve runs qhull once, for the body it returns
+        assert main(["solve", str(fixture_dir / "measure_valid_3pt.json"),
+                     "--out", str(workdir / "solve")]) == 0
+        rep = json.loads((workdir / "solve" / "solve_report.json").read_text())
+        assert rep["converged"] and rep["hull_calls"] == 1
+
     def test_solve_invalid_measure_exit_2_with_json_errors(self, fixture_dir, workdir, capsys):
         code = main(["solve", str(fixture_dir / "measure_vertex_violating.json"),
                      "--json-errors", "--out", str(workdir / "x")])

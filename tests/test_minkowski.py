@@ -120,6 +120,32 @@ def test_dimension_validation():
         hc.build_grid(0, 2)
 
 
+OCTAHEDRON = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+
+
+@pytest.mark.parametrize("m", [1.9, 2.0, 2.7, True, np.float64(2.0)])
+def test_dimension_must_be_an_integer(m):
+    # int(m) used to turn 1.9 into an m=1 body and keep 2.0 as a float m
+    points = OCTAHEDRON if m >= 2 else OCTAHEDRON[:4, :2]
+    with pytest.raises(hc.UnsupportedDimensionError):
+        validate_dimension(m)
+    with pytest.raises(hc.UnsupportedDimensionError):
+        hc.from_vertices(m, points, np.ones(len(points)))
+    with pytest.raises(hc.UnsupportedDimensionError):
+        hc.DiscreteMeasure(m, points, np.ones(len(points)))
+    with pytest.raises(hc.UnsupportedDimensionError):
+        hc.PotentialVector(m, points, np.full(len(points), -0.5))
+
+
+def test_numpy_integer_dimension_is_stored_as_int():
+    m = np.int64(2)
+    assert validate_dimension(m) == 2 and type(validate_dimension(m)) is int
+    for value in (hc.from_vertices(m, OCTAHEDRON, np.ones(6)),
+                  hc.DiscreteMeasure(m, OCTAHEDRON, np.ones(6)),
+                  hc.PotentialVector(m, OCTAHEDRON, np.full(6, -0.5))):
+        assert value.m == 2 and type(value.m) is int
+
+
 @given(st.integers(1, 2), st.lists(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False),
                                             min_size=3, max_size=3), min_size=1, max_size=20))
 def test_unit_rows_idempotent_property(m, rows):

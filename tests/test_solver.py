@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypcurv as hc
-from hypcurv.bodies import _corner_angles, _corners, exterior_angles
+from hypcurv.bodies import (_corner_angles, _corners, angles_and_jacobian, body_faces,
+                            corner_frame, cycle_faces, exterior_angles)
 from hypcurv.measures import EXHAUSTIVE_MAX_ATOMS, DiscreteMeasure
 from hypcurv.solver import (
     SolverConfig,
-    _angles,
+    _ball_heuristic_psi,
+    _Trials,
     dual_gradient,
     dual_objective,
     extract_body,
@@ -281,12 +283,13 @@ def test_analytic_jacobian_matches_dense_differences(m, sizes):
         body = hc.random_polytope(m, n, rng)
         mu = hc.curvature_measure_angles(body)
         psi = np.log(np.tanh(body.radii))
-        analytic = _angles(mu, psi)[2]
+        trials = _Trials(mu)
+        analytic = trials(psi)[1]
         dense = np.empty((n, n))
         for j in range(n):
             bump = np.zeros(n)
             bump[j] = step
-            dense[:, j] = (_angles(mu, psi + bump)[1] - _angles(mu, psi - bump)[1]) / (2 * step)
+            dense[:, j] = (trials(psi + bump)[0] - trials(psi - bump)[0]) / (2 * step)
         assert np.abs(analytic - dense).max() <= 1e-6 * np.abs(dense).max(), (m, n)
 
 
@@ -319,7 +322,7 @@ def _add_at_jacobian(body):
     """d alpha / d r by three np.add.at calls: the assembly that the one
     np.bincount of ``exterior_angles`` replaced, kept as its oracle."""
     dirs, i, j, k = _corners(body)
-    _, d_i, d_j, d_k = _corner_angles(dirs, body.radii, i, j, k)
+    _, d_i, d_j, d_k = _corner_angles(corner_frame(body.m, dirs, i, j, k), body.radii)
     jac = np.zeros((body.n_vertices, body.n_vertices))
     for column, slope in ((i, d_i), (j, d_j), (k, d_k)):
         np.add.at(jac, (i, column), -slope)
@@ -403,3 +406,85 @@ def test_history_lengths_per_stop_reason(square_mu, criterion06_bodies):
     rep = solve(mu, force=True)
     assert rep.stop_reason == "geometry"
     assert rep.iterations == 0 and rep.residual_history == [] and rep.damping_history == []
+
+
+def _face_keys(faces):
+    """A face set as a set of vertex sets."""
+    return {frozenset(f) for f in faces.tolist()}
+
+
+def _hull_faces(body):
+    """The faces of a from_vertices body."""
+    if body.m == 1:
+        return _face_keys(np.column_stack([body.order, np.roll(body.order, -1)]))
+    return _face_keys(body.simplices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.one_of(st.tuples(st.just(1), st.integers(4, 40)),
+                       st.tuples(st.just(2), st.integers(5, 30))),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1e-2, 0.1, 0.3]),
+       sink=st.sampled_from([0.0, 0.0, 0.05, 0.3, 2.0]))
+def test_kept_faces_accept_only_the_hull_faces(shape, seed, scale, sink):
+    # perturbed potentials, some of which change the faces or sink a vertex
+    # below its neighbours; the kept faces must never accept what
+    # from_vertices rejects, and where they accept, they are the hull's faces
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    body = hc.random_polytope(m, n, rng)
+    faces = cycle_faces(body.directions) if m == 1 else body_faces(body)
+    psi = np.log(np.tanh(body.radii)) + scale * rng.normal(size=n)
+    psi[rng.integers(n)] -= sink
+    radii = np.arctanh(np.exp(np.minimum(psi, -1e-3)))
+    kept = faces.bound(radii)
+    try:
+        trial = hc.from_vertices(m, body.directions, radii)
+    except ValueError:
+        assert not kept
+        return
+    if kept:
+        assert _face_keys(faces.faces) == _hull_faces(trial)
+        alpha, jac = angles_and_jacobian(faces.frame, radii)
+        want_alpha, want_jac = exterior_angles(trial)
+        assert np.abs(alpha - want_alpha).max() <= 1e-13 * np.abs(want_alpha).max()
+        assert np.abs(jac - want_jac).max() <= 1e-13 * np.abs(want_jac).max()
+
+
+def test_reflex_m1_vertex_is_rejected():
+    # vertex 3 of a regular octagon sunk inside the chord of its neighbours
+    mu = hc.curvature_measure_angles(hc.regular_polygon(8, 1.0))
+    psi = np.full(8, np.log(np.tanh(1.0)))
+    faces = cycle_faces(mu.points)
+    trials = _Trials(mu)
+    trials(psi)
+    assert trials.hull_calls == 0
+    psi[3] += np.log(0.9 * np.cos(2 * np.pi / 8))
+    assert not faces.bound(np.arctanh(np.exp(psi)))
+    with pytest.raises(hc.NonExtremeVertexError):
+        trials(psi)
+    assert trials.hull_calls == 1
+
+
+def test_m1_solves_run_one_hull(criterion06_bodies):
+    for k, body in enumerate(criterion06_bodies[1]):
+        rep = solve(hc.curvature_measure_angles(body))
+        assert rep.converged and rep.hull_calls == 1, (k, rep.hull_calls)
+
+
+def test_m2_solve_adopts_new_faces(criterion06_bodies):
+    # the ball start's faces are those of the directions' spherical hull; a
+    # body whose faces differ from them makes the kept faces fail on the way,
+    # so its solve runs qhull for the start, at least once more, and at the end
+    changed = 0
+    for k, body in enumerate(criterion06_bodies[2][:10]):
+        mu = hc.curvature_measure_angles(body)
+        start = np.full(mu.size, np.arctanh(np.exp(_ball_heuristic_psi(mu))))
+        ball = hc.from_vertices(2, mu.points, start)
+        rep = solve(mu)
+        assert rep.converged and rep.hull_calls >= 2, k
+        if _hull_faces(ball) != _hull_faces(rep.body):
+            changed += 1
+            assert rep.hull_calls >= 3, k
+        assert np.abs(rep.body.radii - body.radii).max() <= 1e-10 * body.radii.min(), k
+    assert changed > 0
