@@ -4,8 +4,7 @@ A polytope is given by vertex directions xi_i on S^m and hyperbolic radii
 r_i > 0; its vertices are the points cosh(r_i) o + sinh(r_i) xi_i.  The Klein
 model turns the body into the Euclidean convex hull of the points
 tanh(r_i) xi_i inside the open unit ball.  One qhull call on these points and
-the basepoint gives the facet structure for both m: the counterclockwise
-vertex order for m=1 and the triangles for m=2.
+the basepoint gives the faces for both m (``FaceSet``).
 
 The Gauss curvature measure of a polytope is a sum of point masses at the
 vertex directions.  Two independent routes compute it:
@@ -19,20 +18,22 @@ vertex directions.  Two independent routes compute it:
 
 Their agreement is one of the package's main self-checks.  The corner
 formula also gives its own partial derivatives in the radii, so
-``exterior_angles`` returns the angles and d alpha / d r together from one
-pass over the corners.  The formula has two parts: a ``CornerFrame`` of
-what depends on the directions alone (cross products, |xi_i - xi_j|^2 / 2,
-the spherical turn at each corner and the Jacobian's flat indices), built
-once per face set, and ``_corner_angles``, which adds the radii.  The
-Newton solve of ``solver`` keeps a validated body's ``FaceSet`` and its
-frame across trials, and runs qhull again only when the test of
-``FaceSet.bound`` fails.
+``angles_and_jacobian`` returns the angles and d alpha / d r together from
+one pass over the corners.  A body's faces are one ``FaceSet``, built and
+turned outward by ``from_vertices`` from its qhull call: the counterclockwise
+cycle for m=1, the triangles with the vertex across each edge for m=2.  The
+set's ``CornerFrame`` holds what the corner formula takes from the
+directions alone (cross products, |xi_i - xi_j|^2 / 2, the spherical turn at
+each corner and the Jacobian's flat indices); it is built on first use, and
+``_corner_angles`` adds the radii.  The Newton solve of ``solver`` keeps a
+validated body's faces across trials while ``FaceSet.bound`` accepts them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -65,15 +66,12 @@ class HyperbolicPolytope:
     klein_vertices: np.ndarray      # (N, m+1) tanh(r_i) xi_i
     facet_normals: np.ndarray       # (F, m+1) outward unit normals of qhull's facets (Klein)
     facet_supports: np.ndarray      # (F,) Klein support distances in (0, 1)
-    order: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    simplices: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=int))
-    # ``order`` is the counterclockwise vertex ordering for m=1; ``simplices``
-    # are the Klein hull's triangles for m=2.  Each is empty in the other case.
+    faces: FaceSet                  # the hull's faces, turned outward
 
     def __post_init__(self):
-        for name in ("directions", "radii", "klein_vertices",
-                     "facet_normals", "facet_supports", "order", "simplices"):
-            getattr(self, name).setflags(write=False)
+        for array in (self.directions, self.radii, self.klein_vertices, self.facet_normals,
+                      self.facet_supports, self.faces.faces, self.faces.opposite):
+            array.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -140,7 +138,7 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
             f"facet support {supports.min():.3e} below {MIN_SUPPORT:.0e}"
         )
     # qhull lists the vertices of a 2-d hull counterclockwise
-    layout = {"order": hull.vertices} if m == 1 else {"simplices": hull.simplices}
+    faces = cycle_faces(directions, hull.vertices) if m == 1 else _triangle_faces(directions, hull)
     return HyperbolicPolytope(
         m=m,
         directions=directions,
@@ -148,7 +146,7 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
         klein_vertices=klein,
         facet_normals=normals,
         facet_supports=supports,
-        **layout,
+        faces=faces,
     )
 
 
@@ -208,34 +206,11 @@ def polar_boundary_area(poly: HyperbolicPolytope) -> float:
     return math.fsum(measure.weights)
 
 
-def _cycle_corners(order: np.ndarray):
-    """The corners (i, j, k) of a polygon with counterclockwise vertex order."""
-    return order, np.concatenate([order[-1:], order[:-1]]), np.concatenate([order[1:], order[:1]])
-
-
-def _corners(poly: HyperbolicPolytope):
-    """Directions as (3, N) columns and the hull's corners (i, j, k): vertex i
-    between its edges to j and k, one per m=1 vertex and three per m=2 triangle."""
-    if poly.m == 1:
-        i, j, k = _cycle_corners(poly.order)
-    else:
-        i, j, k = (poly.simplices[:, turn].ravel() for turn in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
-    return _columns(poly.directions), i, j, k
-
-
-def _columns(directions: np.ndarray) -> np.ndarray:
-    """Directions as (3, N) columns; m=1 directions lie in the plane z = 0,
-    where every turn of the corner formula is pi."""
-    dirs = np.zeros((3, directions.shape[0]))
-    dirs[:directions.shape[1]] = directions.T
-    return dirs
-
-
 @dataclass(frozen=True)
 class CornerFrame:
     """The part of the corner formula that depends on the directions alone.
 
-    Built once per face set by :func:`corner_frame`; :func:`_corner_angles`
+    Built once per face set by ``FaceSet.frame``; :func:`_corner_angles`
     adds the radii.  Corner c sits at vertex ``i[c]`` between its edges to
     ``ends[0, c]`` and ``ends[1, c]``.
     """
@@ -250,27 +225,6 @@ class CornerFrame:
     cos2_half_turn: np.ndarray   # (K,) cos^2(phi / 2)
     cos_turn: np.ndarray         # (K,) cos phi
     flat: np.ndarray        # (3K,) Jacobian entries i*N + column for columns i, j, k
-
-
-def corner_frame(m: int, dirs: np.ndarray, i, j, k) -> CornerFrame:
-    """The direction-only frame of the corners (i, j, k); ``dirs`` holds the
-    directions as (3, N) columns, as ``_corners`` returns them."""
-    ends = np.stack([j, k])
-    x, y = dirs[:, i][:, None], dirs[:, ends]             # (3, 1, K), (3, 2, K)
-    normals = x[[1, 2, 0]] * y[[2, 0, 1]] - x[[2, 0, 1]] * y[[1, 2, 0]]   # x cross y
-    # (xi_i cross xi_j) cross (xi_i cross xi_k) = det(xi_i, xi_j, xi_k) xi_i
-    turn = np.arctan2(np.abs((normals[:, 0] * y[:, 1]).sum(axis=0)),
-                      (normals[:, 0] * normals[:, 1]).sum(axis=0))
-    n = dirs.shape[1]
-    return CornerFrame(
-        m=m, n=n, i=i, ends=ends,
-        s=np.sqrt((normals * normals).sum(axis=0)),
-        half_gap=0.5 * ((x - y) ** 2).sum(axis=0),
-        sin2_half_turn=np.sin(0.5 * turn) ** 2,
-        cos2_half_turn=np.cos(0.5 * turn) ** 2,
-        cos_turn=np.cos(turn),
-        flat=np.concatenate([i * n + i, i * n + j, i * n + k]),
-    )
 
 
 def _corner_angles(frame: CornerFrame, radii: np.ndarray):
@@ -315,41 +269,31 @@ def _corner_angles(frame: CornerFrame, radii: np.ndarray):
     return corner, (slope * dn_di).sum(axis=0), dc_dj, dc_dk
 
 
+def _exterior(frame: CornerFrame, corners: np.ndarray) -> np.ndarray:
+    """alpha_i: m pi minus the sum of the corner angles at vertex i; for m=2
+    its triangles' corners add up to the angles of its faces."""
+    return frame.m * np.pi - np.bincount(frame.i, corners, minlength=frame.n)
+
+
 def angles_and_jacobian(frame: CornerFrame, radii: np.ndarray):
     """The exterior angles alpha and d alpha / d r as a dense (N, N) array,
-    from one pass of the corner formula over the frame's corners."""
+    from one pass of the corner formula over the frame's corners; row i of
+    d alpha / d r is nonzero only at i and at i's neighbours on the hull."""
     corners, d_i, d_j, d_k = _corner_angles(frame, radii)
-    alpha = frame.m * np.pi - np.bincount(frame.i, corners, minlength=frame.n)
     # entries of the flat index i*N + column, summed in the order i, j, k
     jac = np.bincount(frame.flat, -np.concatenate([d_i, d_j, d_k]), minlength=frame.n ** 2)
-    return alpha, jac.reshape(frame.n, frame.n)
+    return _exterior(frame, corners), jac.reshape(frame.n, frame.n)
 
 
 def curvature_measure_angles(poly: HyperbolicPolytope):
-    """Curvature weights as exterior (solid) angles at the vertices.
-
-    alpha_i is m pi minus the sum of the corner angles at vertex i; for m=2
-    its triangles' corners add up to the angles of its faces.
-    """
-    frame = corner_frame(poly.m, *_corners(poly))
-    corners = _corner_angles(frame, poly.radii)[0]
-    alpha = poly.m * np.pi - np.bincount(frame.i, corners, minlength=poly.n_vertices)
+    """Curvature weights as exterior (solid) angles at the vertices: the
+    alpha of ``angles_and_jacobian`` on the body's faces."""
+    frame = poly.faces.frame
+    alpha = _exterior(frame, _corner_angles(frame, poly.radii)[0])
     return DiscreteMeasure(poly.m, poly.directions, alpha)
 
 
-def exterior_angles(poly: HyperbolicPolytope):
-    """The exterior angles alpha and d alpha / d r as a dense (N, N) array,
-    from one pass of the corner formula.
-
-    alpha is the array ``curvature_measure_angles`` weights the vertex
-    directions with.  Row i of the Jacobian collects the negated partials of
-    the corners at vertex i, so it is nonzero only at i and at the vertices
-    joined to i by a hull edge.
-    """
-    return angles_and_jacobian(corner_frame(poly.m, *_corners(poly)), poly.radii)
-
-
-# -- kept faces --------------------------------------------------------------
+# -- faces -------------------------------------------------------------------
 
 # (e_y, e_x) * _CLOCKWISE = (e_y, -e_x) is the edge e turned a quarter turn
 # clockwise: the outward normal of a counterclockwise polygon edge
@@ -358,20 +302,50 @@ _CLOCKWISE = np.array([1.0, -1.0])
 
 @dataclass(frozen=True)
 class FaceSet:
-    """The faces of a validated body, kept while its radii change.
+    """The faces of a validated body, which the solver keeps while its radii change.
 
     ``faces`` lists each face's vertices in outward order: the (F, 2)
-    counterclockwise edges of an m=1 polygon, the (F, 3) triangles of an m=2
-    hull, counterclockwise seen from outside.  ``opposite[f, e]`` is the
-    vertex of the neighbouring face across edge e of face f: the edge from
-    ``faces[f, e]`` for m=2, the endpoint ``faces[f, 1]`` for m=1.
-    ``frame`` is the corner frame of the faces.
+    counterclockwise edges of an m=1 polygon in cycle order, so that
+    ``faces[:, 0]`` is its counterclockwise vertex order, and the (F, 3)
+    triangles of an m=2 hull, counterclockwise seen from outside.
+    ``opposite[f, e]`` is the vertex of the neighbouring face across edge e
+    of face f: the edge from ``faces[f, e]`` for m=2, the endpoint
+    ``faces[f, 1]`` for m=1.
     """
 
     directions: np.ndarray
     faces: np.ndarray
     opposite: np.ndarray
-    frame: CornerFrame
+
+    @cached_property
+    def frame(self) -> CornerFrame:
+        """The corner frame of the faces, built on first use: one corner per
+        m=1 vertex, between its neighbours, and three per m=2 triangle."""
+        if self.faces.shape[1] == 2:
+            # contiguous: every trial gathers and bins by i
+            i, k = np.ascontiguousarray(self.faces.T)
+            j = np.concatenate([i[-1:], i[:-1]])
+        else:
+            i, j, k = (self.faces[:, turn].ravel() for turn in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
+        n, m = self.directions.shape[0], self.directions.shape[1] - 1
+        # m=1 directions lie in the plane z = 0, where every turn is pi
+        dirs = np.zeros((3, n))
+        dirs[:m + 1] = self.directions.T
+        ends = np.stack([j, k])
+        x, y = dirs[:, i][:, None], dirs[:, ends]             # (3, 1, K), (3, 2, K)
+        normals = x[[1, 2, 0]] * y[[2, 0, 1]] - x[[2, 0, 1]] * y[[1, 2, 0]]   # x cross y
+        # (xi_i cross xi_j) cross (xi_i cross xi_k) = det(xi_i, xi_j, xi_k) xi_i
+        turn = np.arctan2(np.abs((normals[:, 0] * y[:, 1]).sum(axis=0)),
+                          (normals[:, 0] * normals[:, 1]).sum(axis=0))
+        return CornerFrame(
+            m=m, n=n, i=i, ends=ends,
+            s=np.sqrt((normals * normals).sum(axis=0)),
+            half_gap=0.5 * ((x - y) ** 2).sum(axis=0),
+            sin2_half_turn=np.sin(0.5 * turn) ** 2,
+            cos2_half_turn=np.cos(0.5 * turn) ** 2,
+            cos_turn=np.cos(turn),
+            flat=np.concatenate([i * n + i, i * n + j, i * n + k]),
+        )
 
     def bound(self, radii: np.ndarray) -> bool:
         """Whether these faces are the faces of the valid body with these radii.
@@ -415,36 +389,26 @@ def cycle_faces(directions: np.ndarray, order: np.ndarray | None = None) -> Face
     ``order``, by default the directions sorted by angle."""
     if order is None:
         order = np.argsort(np.arctan2(directions[:, 1], directions[:, 0]))
-    i, j, k = _cycle_corners(order)
-    return FaceSet(directions=directions, faces=np.column_stack([i, k]),
-                   opposite=np.roll(order, -2)[:, None],
-                   frame=corner_frame(1, _columns(directions), i, j, k))
+    following = np.concatenate([order[1:], order[:1]])
+    return FaceSet(directions=directions, faces=np.column_stack([order, following]),
+                   opposite=np.concatenate([following[1:], following[:1]])[:, None])
 
 
-def body_faces(poly: HyperbolicPolytope) -> FaceSet:
-    """The faces of a body that ``from_vertices`` built.
-
-    The corner frame keeps qhull's triangles as they are, so that it equals
-    the one ``exterior_angles`` builds.  The faces are those triangles
-    turned outward; the vertex across each directed edge is read off the
-    edge running the other way, found by sorting the edge keys.
-    """
-    if poly.m == 1:
-        return cycle_faces(poly.directions, poly.order)
-    tri, p, n = poly.simplices, poly.klein_vertices, poly.n_vertices
-    inward = (np.cross(p[tri[:, 1]] - p[tri[:, 0]], p[tri[:, 2]] - p[tri[:, 0]])
-              * poly.facet_normals).sum(axis=1) < 0
-    faces = np.where(inward[:, None], tri[:, [0, 2, 1]], tri)
-    tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
-    keys = tails * n + heads
-    order = np.argsort(keys)
-    twin = order[np.minimum(np.searchsorted(keys[order], heads * n + tails), len(keys) - 1)]
-    # an edge without a twin gets the face's first vertex, which does not lie
-    # strictly below the face, so such a face set is never kept
-    opposite = np.where(keys[twin] == heads * n + tails,
-                        np.roll(faces, -2, axis=1).ravel()[twin], np.repeat(faces[:, 0], 3))
-    return FaceSet(directions=poly.directions, faces=faces, opposite=opposite.reshape(faces.shape),
-                   frame=corner_frame(2, *_corners(poly)))
+def _triangle_faces(directions: np.ndarray, hull: ConvexHull) -> FaceSet:
+    """The faces of an m=2 body: qhull's triangles, each turned outward by
+    its facet equation.  ``hull.neighbors[f, c]`` is the triangle across
+    from vertex c of triangle f, so the vertex across an edge is that
+    triangle's vertex sum minus the edge's two ends."""
+    tri, p, normal = hull.simplices, hull.points, hull.equations
+    u, v = p[tri[:, 1]] - p[tri[:, 0]], p[tri[:, 2]] - p[tri[:, 0]]
+    inward = (normal[:, 0] * (u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1])
+              + normal[:, 1] * (u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2])
+              + normal[:, 2] * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))[:, None] < 0
+    # edge e runs from vertex e to vertex e + 1, across from vertex e + 2;
+    # turning a triangle over reverses its edges
+    opposite = tri.sum(axis=1)[hull.neighbors[:, [2, 0, 1]]] - tri - tri[:, [1, 2, 0]]
+    return FaceSet(directions=directions, faces=np.where(inward, tri[:, [0, 2, 1]], tri),
+                   opposite=np.where(inward, opposite[:, [2, 1, 0]], opposite))
 
 
 # -- area, isometries, generators ------------------------------------------
@@ -460,8 +424,7 @@ def polygon_area_m1(poly: HyperbolicPolytope) -> float:
     """
     if poly.m != 1:
         raise ValueError("polygon_area_m1 requires m = 1")
-    a = poly.order
-    b = np.roll(a, -1)
+    a, b = poly.faces.faces.T
     xa, xb = poly.directions[a], poly.directions[b]
     tt = np.tanh(0.5 * poly.radii[a]) * np.tanh(0.5 * poly.radii[b])
     sin = xa[:, 0] * xb[:, 1] - xa[:, 1] * xb[:, 0]

@@ -233,7 +233,7 @@ def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     beyond j0 are evaluated too.  phi is the sweep's arctan2 form,
     evaluated only at these vertices, block by block.
     """
-    ring = poly.order
+    ring = poly.faces.faces[:, 0]
     corner = poly.klein_vertices[ring]
     polar = np.arctan2(corner[:, 1], corner[:, 0])
     shift = -int(np.argmin(polar))

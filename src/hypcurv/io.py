@@ -1,5 +1,8 @@
 """JSON persistence and SVG/OBJ emitters.
 
+The emitters draw a body's faces as ``from_vertices`` turned them outward
+(``HyperbolicPolytope.faces``).
+
 Schemas are strict: unknown fields are rejected, "dim" is explicit, floats
 are serialized with Python's shortest round-trip representation so a
 write-then-read cycle reproduces values bit for bit.  Unit vectors are
@@ -110,8 +113,7 @@ def body_svg(poly: HyperbolicPolytope, with_polar: bool = True, size: int = 640)
         f'<rect width="{size}" height="{size}" fill="white"/>',
         f'<circle cx="{c}" cy="{c}" r="{scale}" fill="none" stroke="#888" stroke-width="1"/>',
     ]
-    order = poly.order
-    ring = [xy(poly.klein_vertices[i]) for i in order]
+    ring = [xy(poly.klein_vertices[i]) for i in poly.faces.faces[:, 0]]
     points_attr = " ".join(f"{x:.3f},{y:.3f}" for x, y in ring)
     parts.append(
         f'<polygon points="{points_attr}" fill="#cfe3ff" fill-opacity="0.6" '
@@ -137,38 +139,25 @@ def body_svg(poly: HyperbolicPolytope, with_polar: bool = True, size: int = 640)
     return "\n".join(parts) + "\n"
 
 
-def _oriented_faces(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """Flip faces so their normals point away from the origin (CCW outside)."""
-    a, b, c = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
-    normals = np.cross(b - a, c - a)
-    flip = np.einsum("ij,ij->i", normals, (a + b + c) / 3.0) < 0
-    out = faces.copy()
-    out[flip] = out[flip][:, ::-1]
-    return out
-
-
 def body_obj(poly: HyperbolicPolytope, polar_level: int = 3) -> str:
     """Wavefront OBJ with two groups: the Klein hull mesh of an m=2 body and
     the Klein projection of its polar boundary graph (a radial mesh over the
     icosphere of level ``polar_level``)."""
     if poly.m != 2:
         raise ValueError("OBJ emission is for m = 2 bodies")
-    hull_faces = _oriented_faces(poly.klein_vertices, poly.simplices)
-
     sphere = icosphere_body(polar_level, 1.0)
     h = support_fn(poly, sphere.directions)
     polar_pts = (np.cosh(h) / np.sinh(h))[:, None] * sphere.directions
-    polar_faces = _oriented_faces(sphere.directions, sphere.simplices)
 
     lines = ["o klein_hull"]
     for v in poly.klein_vertices:
         lines.append(f"v {v[0]} {v[1]} {v[2]}")
-    for f in hull_faces:
+    for f in poly.faces.faces:
         lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
     offset = poly.n_vertices
     lines.append("o polar_boundary")
     for v in polar_pts:
         lines.append(f"v {v[0]} {v[1]} {v[2]}")
-    for f in polar_faces:
+    for f in sphere.faces.faces:
         lines.append(f"f {f[0] + 1 + offset} {f[1] + 1 + offset} {f[2] + 1 + offset}")
     return "\n".join(lines) + "\n"

@@ -9,13 +9,14 @@ damped Newton on the residual alpha(psi) - a, which the corner formula of
 
 * the start is the ball whose total curvature is the measure's total;
 * each trial is evaluated on the faces of the last body validated
-  (``bodies.FaceSet``).  While they stay strictly locally convex about the
-  basepoint they are the body's faces, so the trial needs no hull and no
-  re-validation, and the direction-only part of the corner formula is built
-  once per face set.  Otherwise ``from_vertices`` decides: it rejects the
-  trial, or its faces are kept from then on.  The m=1 faces are the angular
-  cycle of the support, fixed by the measure, so an m=1 solve runs qhull
-  only for the body it returns;
+  (``HyperbolicPolytope.faces``).  While they stay strictly locally convex
+  about the basepoint they are the body's faces, so the trial needs no hull
+  and no re-validation, and the direction-only part of the corner formula
+  is built once per face set.  Otherwise an m=1 trial is rejected: its
+  faces are the angular cycle of the support, fixed by the measure, so an
+  m=1 solve runs qhull only for the body it returns or, to report why, for
+  a start the cycle does not bound.  An m=2 trial goes to ``from_vertices``,
+  which rejects it or whose body's faces are kept from then on;
 * one pass of the corner formula gives each trial's angles and its Jacobian,
   d alpha / d r in closed form, times dr/dpsi = sinh r cosh r; weighted by
   cosh r it is symmetric, the Hessian of the paper's dual functional, whose
@@ -44,8 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import (HyperbolicPolytope, angles_and_jacobian, body_faces, cycle_faces,
-                     from_vertices)
+from .bodies import HyperbolicPolytope, angles_and_jacobian, cycle_faces, from_vertices
 from .ctransform import PSI_FLOOR, PotentialVector, kernel_for
 from .densities import G_psi, g_psi
 from .errors import PreconditionError
@@ -87,9 +87,9 @@ class SolveReport:
     where only the two O(N) conditions are checked and a converged solve
     certifies the measure.  ``hull_calls`` counts the solve's calls of
     ``from_vertices``: one for the returned body, one for the first faces of
-    an m=2 solve, and one for each trial the kept faces do not bound.  So an
-    m=1 solve whose trials all give valid bodies makes exactly one, for the
-    final body.
+    an m=2 solve, and one for each m=2 trial the kept faces do not bound.
+    So an m=1 solve makes exactly one: for the final body, or for a start
+    that the angular cycle does not bound.
     """
 
     psi: PotentialVector
@@ -157,15 +157,18 @@ class _Trials:
     """Exterior angles of Newton trials, on the faces of the last body validated.
 
     A trial whose radii the kept faces bound (``FaceSet.bound``) takes one
-    pass of the corner formula over their frame.  Otherwise ``from_vertices``
-    decides: it raises, which rejects the trial, or its body's faces are kept
-    from then on.  ``hull_calls`` counts the calls of ``from_vertices``.
+    pass of the corner formula over their frame.  Otherwise an m=1 trial is
+    rejected, as its faces are fixed by the measure, and only a rejected
+    start goes to ``from_vertices``, for its typed error.  An m=2 trial goes
+    to ``from_vertices``, which raises, rejecting it, or whose body's faces
+    are kept from then on.  ``hull_calls`` counts the calls of ``from_vertices``.
     """
 
     def __init__(self, mu: DiscreteMeasure):
         self.mu = mu
-        # the m=1 faces are fixed by the measure; m=2 needs a first hull
+        # m=2 needs a first hull
         self.faces = cycle_faces(mu.points) if mu.m == 1 else None
+        self.started = False
         self.hull_calls = 0
 
     def body(self, radii: np.ndarray) -> HyperbolicPolytope:
@@ -181,7 +184,10 @@ class _Trials:
         """
         radii = np.arctanh(np.exp(psi))
         if self.faces is None or not self.faces.bound(radii):
-            self.faces = body_faces(self.body(radii))
+            if self.mu.m == 1 and self.started:
+                raise ValueError("the angular cycle does not bound the trial")
+            self.faces = self.body(radii).faces
+        self.started = True
         alpha, jac = angles_and_jacobian(self.faces.frame, radii)
         if not alpha.min() > 0:
             raise ValueError("every exterior angle must be positive")

@@ -11,6 +11,7 @@ from hypcurv.bodies import (
     curvature_measure_angles,
     curvature_measure_integral,
     from_vertices,
+    icosphere_body,
     polar_boundary_area,
     polygon_area_m1,
     radial_fn,
@@ -28,7 +29,42 @@ def dirs_from_angles(angles):
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
+def _twin_opposite(faces):
+    """The vertex across each directed edge of outward triangles, read off
+    the edge running the other way by sorting the directed-edge keys."""
+    n = faces.max() + 1
+    tails, heads = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    keys = tails * n + heads
+    order = np.argsort(keys)
+    twin = order[np.minimum(np.searchsorted(keys[order], heads * n + tails), len(keys) - 1)]
+    assert np.array_equal(keys[twin], heads * n + tails)
+    return np.roll(faces, -2, axis=1).ravel()[twin].reshape(faces.shape)
+
+
+def _assert_own_faces(poly):
+    """The body is bounded by the faces from_vertices stored; for m=2 the
+    vertices across the edges match the twin search."""
+    assert poly.faces.bound(poly.radii)
+    if poly.m == 2:
+        assert np.array_equal(poly.faces.opposite, _twin_opposite(poly.faces.faces))
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("m, n", [(1, 4), (1, 7), (1, 30), (1, 200),
+                                      (2, 5), (2, 9), (2, 20), (2, 60)])
+    def test_random_bodies_are_bounded_by_their_own_faces(self, m, n):
+        rng = np.random.default_rng(110 + n)
+        for _ in range(5):
+            _assert_own_faces(random_polytope(m, n, rng))
+
+    @pytest.mark.parametrize("level", range(5))
+    def test_icospheres_are_bounded_by_their_own_faces(self, level):
+        _assert_own_faces(icosphere_body(level, 0.8))
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 64, 1000, 8192])
+    def test_regular_polygons_are_bounded_by_their_own_faces(self, n):
+        _assert_own_faces(regular_polygon(n, 1.0))
+
     def test_random_polygon_many_vertices(self):
         # uniform directions almost never meet the separation rule here, so
         # these draws come from the jittered equal-spacing fallback
@@ -231,7 +267,7 @@ class TestCurvatureMeasures:
         moved = from_vertices(m, body.directions[perm] @ turn.T, body.radii[perm])
         alpha = curvature_measure_angles(body).weights[perm]
         assert np.abs(curvature_measure_angles(moved).weights / alpha - 1.0).max() <= 1e-12
-        assert len(moved.simplices) == len(body.simplices)
+        assert len(moved.faces.faces) == len(body.faces.faces)
 
     @pytest.mark.parametrize("m, low, high", [(1, 4, 32), (2, 5, 30)])
     @settings(max_examples=30)

@@ -369,7 +369,7 @@ def _axis_polygon(n, radius):
     hc.random_polytope(1, 9, np.random.default_rng(5), r_max=1.0),
 ], ids=["square", "64-gon", "random 9-gon"])
 def test_tangent_search_matches_sweep_hand_built(poly):
-    klein = poly.klein_vertices[poly.order]
+    klein = poly.klein_vertices[poly.faces.faces[:, 0]]
     nxt = np.roll(klein, -1, axis=0)
     edge = nxt - klein
     normal = np.column_stack([edge[:, 1], -edge[:, 0]])

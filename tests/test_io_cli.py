@@ -140,13 +140,18 @@ class TestGraphics:
         assert idx == len(verts)
 
     def test_obj_faces_outward(self, octahedron):
-        obj = hio.body_obj(octahedron, polar_level=0)
-        lines = obj.splitlines()
-        verts = np.array([[float(x) for x in l.split()[1:]] for l in lines if l.startswith("v ")])
-        faces = np.array([[int(x) - 1 for x in l.split()[1:]] for l in lines if l.startswith("f ")])
-        a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-        outward = np.einsum("ij,ij->i", np.cross(b - a, c - a), (a + b + c) / 3)
-        assert np.all(outward > 0)
+        bodies = [octahedron, hc.random_polytope(2, 30, np.random.default_rng(30)),
+                  hc.icosphere_body(2, 0.8)]
+        for k, body in enumerate(bodies):
+            obj = hio.body_obj(body, polar_level=0)
+            lines = obj.splitlines()
+            verts = np.array([[float(x) for x in l.split()[1:]]
+                              for l in lines if l.startswith("v ")])
+            faces = np.array([[int(x) - 1 for x in l.split()[1:]]
+                              for l in lines if l.startswith("f ")])
+            a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+            outward = np.einsum("ij,ij->i", np.cross(b - a, c - a), (a + b + c) / 3)
+            assert np.all(outward > 0), k
 
 
 class TestCli:

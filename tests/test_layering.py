@@ -4,6 +4,8 @@ No library route reads quadrature nodes or weights: ``bodies`` imports
 ``hypcurv.quadrature`` only for the icosphere nodes of ``icosphere_body``,
 and the package re-exports it; the tests read grids as oracles.  These tests
 follow each module's package-relative imports, transitively or one step.
+Hulls are built in two places only: ``bodies`` builds a body's hull and
+turns its faces outward, and ``cells`` builds the hull of a support kernel.
 """
 
 import ast
@@ -58,3 +60,15 @@ def test_only_bodies_and_the_package_import_quadrature():
 @pytest.mark.parametrize("module", ["cells", "ctransform"])
 def test_kernel_and_conjugacy_do_not_import_quadrature(module):
     assert "quadrature" not in _reached(module)
+
+
+def test_only_bodies_and_cells_construct_hulls():
+    builders = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "ConvexHull":
+                    builders.add(path.stem)
+    assert builders == {"bodies", "cells"}

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypcurv as hc
-from hypcurv.bodies import (_corner_angles, _corners, angles_and_jacobian, body_faces,
-                            corner_frame, cycle_faces, exterior_angles)
+from hypcurv.bodies import _corner_angles, angles_and_jacobian, cycle_faces
 from hypcurv.measures import EXHAUSTIVE_MAX_ATOMS, DiscreteMeasure
 from hypcurv.solver import (
     SolverConfig,
@@ -24,9 +23,14 @@ def dirs_from_angles(angles):
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
+def own_angles(body):
+    """alpha and d alpha / d r on the body's own faces."""
+    return angles_and_jacobian(body.faces.frame, body.radii)
+
+
 def psi_jacobian(body):
     """d alpha / d psi: d alpha / d r times dr/dpsi = sinh r cosh r."""
-    return exterior_angles(body)[1] * (np.sinh(body.radii) * np.cosh(body.radii))
+    return own_angles(body)[1] * (np.sinh(body.radii) * np.cosh(body.radii))
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +169,12 @@ def test_force_overrides_precondition():
     assert rep.stop_reason == "damping"
     assert rep.body is not None
     assert np.all(np.diff(rep.residual_history) < 0.0)
+    # the trials the angular cycle does not bound are refused without qhull,
+    # so the only hull call is the returned body's; the residual history is
+    # the one the solve had when from_vertices refused them (85 hull calls)
+    assert rep.hull_calls == 1
+    assert rep.residual_history == [float.fromhex(h) for h in (
+        "0x1.aee54b9e50988p-1", "0x1.aee4ff9baaeb4p-1", "0x1.aee4ff9b310d0p-1")]
 
 
 def test_force_with_invalid_start_reports_instead_of_raising():
@@ -320,9 +330,10 @@ def test_icosphere_round_trip(level):
 
 def _add_at_jacobian(body):
     """d alpha / d r by three np.add.at calls: the assembly that the one
-    np.bincount of ``exterior_angles`` replaced, kept as its oracle."""
-    dirs, i, j, k = _corners(body)
-    _, d_i, d_j, d_k = _corner_angles(corner_frame(body.m, dirs, i, j, k), body.radii)
+    np.bincount of ``angles_and_jacobian`` replaced, kept as its oracle."""
+    frame = body.faces.frame
+    i, (j, k) = frame.i, frame.ends
+    _, d_i, d_j, d_k = _corner_angles(frame, body.radii)
     jac = np.zeros((body.n_vertices, body.n_vertices))
     for column, slope in ((i, d_i), (j, d_j), (k, d_k)):
         np.add.at(jac, (i, column), -slope)
@@ -334,7 +345,7 @@ def test_one_corner_pass_matches_separate_routes(m, sizes):
     rng = np.random.default_rng(80 + m)
     for n in sizes:
         body = hc.random_polytope(m, n, rng)
-        alpha, jac = exterior_angles(body)
+        alpha, jac = own_angles(body)
         assert np.array_equal(alpha, hc.curvature_measure_angles(body).weights), (m, n)
         oracle = _add_at_jacobian(body)
         assert np.abs(jac - oracle).max() <= 1e-15 * np.abs(oracle).max(), (m, n)
@@ -343,12 +354,13 @@ def test_one_corner_pass_matches_separate_routes(m, sizes):
 @pytest.mark.parametrize("m, n", [(1, 4), (1, 9), (1, 200), (2, 5), (2, 12), (2, 40), (2, 120)])
 def test_indexed_corners_match_np_roll(m, n):
     body = hc.random_polytope(m, n, np.random.default_rng(90 + n))
-    _, i, j, k = _corners(body)
+    frame, faces = body.faces.frame, body.faces.faces
     if m == 1:
-        rolled = [body.order, np.roll(body.order, 1), np.roll(body.order, -1)]
+        order = faces[:, 0]
+        rolled = [order, np.roll(order, 1), np.roll(order, -1)]
     else:
-        rolled = [np.roll(body.simplices, -s, axis=1).ravel() for s in range(3)]
-    for got, want in zip((i, j, k), rolled):
+        rolled = [np.roll(faces, -s, axis=1).ravel() for s in range(3)]
+    for got, want in zip((frame.i, *frame.ends), rolled):
         assert np.array_equal(got, want), (m, n)
 
 
@@ -415,28 +427,34 @@ def _face_keys(faces):
 
 def _hull_faces(body):
     """The faces of a from_vertices body."""
-    if body.m == 1:
-        return _face_keys(np.column_stack([body.order, np.roll(body.order, -1)]))
-    return _face_keys(body.simplices)
+    return _face_keys(body.faces.faces)
+
+
+scales = st.sampled_from([1e-3, 1e-2, 0.1, 0.3])
+sinks = st.sampled_from([0.0, 0.0, 0.05, 0.3, 2.0])
+
+
+def _perturbed(m, n, seed, scale, sink):
+    """A random body and radii from its potentials perturbed by ``scale``
+    with one vertex sunk by ``sink``: some change the faces, some sink a
+    vertex below its neighbours."""
+    rng = np.random.default_rng(seed)
+    body = hc.random_polytope(m, n, rng)
+    psi = np.log(np.tanh(body.radii)) + scale * rng.normal(size=n)
+    psi[rng.integers(n)] -= sink
+    return body, np.arctanh(np.exp(np.minimum(psi, -1e-3)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(shape=st.one_of(st.tuples(st.just(1), st.integers(4, 40)),
                        st.tuples(st.just(2), st.integers(5, 30))),
-       seed=st.integers(0, 2**32 - 1),
-       scale=st.sampled_from([1e-3, 1e-2, 0.1, 0.3]),
-       sink=st.sampled_from([0.0, 0.0, 0.05, 0.3, 2.0]))
+       seed=st.integers(0, 2**32 - 1), scale=scales, sink=sinks)
 def test_kept_faces_accept_only_the_hull_faces(shape, seed, scale, sink):
-    # perturbed potentials, some of which change the faces or sink a vertex
-    # below its neighbours; the kept faces must never accept what
-    # from_vertices rejects, and where they accept, they are the hull's faces
+    # the kept faces must never accept what from_vertices rejects, and where
+    # they accept, they are the hull's faces
     m, n = shape
-    rng = np.random.default_rng(seed)
-    body = hc.random_polytope(m, n, rng)
-    faces = cycle_faces(body.directions) if m == 1 else body_faces(body)
-    psi = np.log(np.tanh(body.radii)) + scale * rng.normal(size=n)
-    psi[rng.integers(n)] -= sink
-    radii = np.arctanh(np.exp(np.minimum(psi, -1e-3)))
+    body, radii = _perturbed(m, n, seed, scale, sink)
+    faces = cycle_faces(body.directions) if m == 1 else body.faces
     kept = faces.bound(radii)
     try:
         trial = hc.from_vertices(m, body.directions, radii)
@@ -446,9 +464,22 @@ def test_kept_faces_accept_only_the_hull_faces(shape, seed, scale, sink):
     if kept:
         assert _face_keys(faces.faces) == _hull_faces(trial)
         alpha, jac = angles_and_jacobian(faces.frame, radii)
-        want_alpha, want_jac = exterior_angles(trial)
+        want_alpha, want_jac = own_angles(trial)
         assert np.abs(alpha - want_alpha).max() <= 1e-13 * np.abs(want_alpha).max()
         assert np.abs(jac - want_jac).max() <= 1e-13 * np.abs(want_jac).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1), scale=scales, sink=sinks)
+def test_m1_hull_accepts_only_what_the_cycle_bounds(n, seed, scale, sink):
+    # the converse for m=1: a trial the angular cycle does not bound is no
+    # valid body, so the solve refuses it without a hull
+    body, radii = _perturbed(1, n, seed, scale, sink)
+    try:
+        hc.from_vertices(1, body.directions, radii)
+    except ValueError:
+        return
+    assert cycle_faces(body.directions).bound(radii)
 
 
 def test_reflex_m1_vertex_is_rejected():
@@ -461,9 +492,14 @@ def test_reflex_m1_vertex_is_rejected():
     assert trials.hull_calls == 0
     psi[3] += np.log(0.9 * np.cos(2 * np.pi / 8))
     assert not faces.bound(np.arctanh(np.exp(psi)))
-    with pytest.raises(hc.NonExtremeVertexError):
+    with pytest.raises(ValueError, match="angular cycle"):
         trials(psi)
-    assert trials.hull_calls == 1
+    assert trials.hull_calls == 0
+    # a rejected start goes to from_vertices, which names the fault
+    start = _Trials(mu)
+    with pytest.raises(hc.NonExtremeVertexError):
+        start(psi)
+    assert start.hull_calls == 1
 
 
 def test_m1_solves_run_one_hull(criterion06_bodies):
