@@ -59,7 +59,8 @@ print("== scaling: icosphere and polygon round trips ==")
 # Icosphere bodies with radii moved by up to 2e-3 relative, and regular
 # polygons with radii moved by up to (1 - cos(2 pi / n)) / 2 relative, which
 # keeps every vertex extreme.  "hull calls" counts the solve's from_vertices
-# calls; "peak MB" is the process peak after the solve.
+# calls, none for a polygon, whose faces are its angular cycle; "peak MB" is
+# the process peak after the solve.
 rng = np.random.default_rng(11)
 cases = []
 for level in (2, 3, 4):

@@ -19,20 +19,22 @@ vertex directions.  Two independent routes compute it:
 Their agreement is one of the package's main self-checks.  The corner
 formula also gives its own partial derivatives in the radii, so
 ``angles_and_jacobian`` returns the angles and d alpha / d r together from
-one pass over the corners.  A body's faces are one ``FaceSet``, built and
-turned outward by ``from_vertices`` from its qhull call: the counterclockwise
-cycle for m=1, the triangles with the vertex across each edge for m=2.  The
-set's ``CornerFrame`` holds what the corner formula takes from the
-directions alone (cross products, |xi_i - xi_j|^2 / 2, the spherical turn at
-each corner and the Jacobian's flat indices); it is built on first use, and
-``_corner_angles`` adds the radii.  The Newton solve of ``solver`` keeps a
-validated body's faces across trials while ``FaceSet.bound`` accepts them.
+one pass over the corners.  A body is its directions, radii and faces, one
+``FaceSet`` that ``from_vertices`` builds and turns outward from its qhull
+call: the counterclockwise cycle for m=1, the triangles with the vertex
+across each edge for m=2.  The facet planes come from the faces on first
+use, by the formula ``FaceSet.bound`` uses.  The set's ``CornerFrame``
+holds what the corner formula takes from the directions alone (cross
+products, |xi_i - xi_j|^2 / 2, the spherical turn at each corner and the
+Jacobian's flat indices); it is built on first use, and ``_corner_angles``
+adds the radii.  ``solver`` keeps a body's faces across Newton trials while
+``FaceSet.bound`` accepts them, and builds its body on the last ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,20 +60,33 @@ MIN_SUPPORT = 1e-6
 
 @dataclass(frozen=True)
 class HyperbolicPolytope:
-    """Immutable polytope value; build through :func:`from_vertices`."""
+    """Immutable polytope on the faces of its Klein hull; ``from_vertices``
+    validates and finds them, ``solver`` builds one on faces that bound it."""
 
     m: int
     directions: np.ndarray          # (N, m+1) unit vertex directions
     radii: np.ndarray               # (N,) hyperbolic radii
-    klein_vertices: np.ndarray      # (N, m+1) tanh(r_i) xi_i
-    facet_normals: np.ndarray       # (F, m+1) outward unit normals of qhull's facets (Klein)
-    facet_supports: np.ndarray      # (F,) Klein support distances in (0, 1)
     faces: FaceSet                  # the hull's faces, turned outward
+    klein_vertices: np.ndarray = field(init=False)   # (N, m+1) tanh(r_i) xi_i
 
     def __post_init__(self):
-        for array in (self.directions, self.radii, self.klein_vertices, self.facet_normals,
-                      self.facet_supports, self.faces.faces, self.faces.opposite):
+        object.__setattr__(self, "klein_vertices", np.tanh(self.radii)[:, None] * self.directions)
+        for array in (self.directions, self.radii, self.klein_vertices,
+                      self.faces.faces, self.faces.opposite):
             array.setflags(write=False)
+
+    @cached_property
+    def _planes(self):
+        t = np.tanh(self.radii)
+        _, normal, norm, height = _face_planes(self.directions, self.faces.faces, t)
+        planes = normal / norm[:, None], t.max() * height / norm
+        for array in planes:
+            array.setflags(write=False)
+        return planes
+
+    # the faces' (F, m+1) outward unit normals and (F,) Klein supports in (0, 1)
+    facet_normals = property(lambda self: self._planes[0])
+    facet_supports = property(lambda self: self._planes[1])
 
     @property
     def n_vertices(self) -> int:
@@ -114,12 +129,12 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
     if cKDTree(directions).query_pairs(1e-9):
         raise ValueError("vertex directions must be pairwise distinct")
 
-    n = directions.shape[0]
-    klein = np.tanh(radii)[:, None] * directions
+    n, t = directions.shape[0], np.tanh(radii)
     # the basepoint joins the hull so that a basepoint on or outside the
     # body's hull shows up as a vertex or coplanar point of this one
     try:
-        hull = ConvexHull(np.vstack([klein, np.zeros(m + 1)]), qhull_options="Qc")
+        hull = ConvexHull(np.vstack([t[:, None] * directions, np.zeros(m + 1)]),
+                          qhull_options="Qc")
     except QhullError as exc:
         raise DegenerateHullError(f"vertex set is degenerate: {exc}") from exc
     extreme = np.zeros(n + 1, dtype=bool)
@@ -131,23 +146,17 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
             "basepoint is not interior to the Klein hull: the vertex directions "
             f"lie in a closed {('half-plane', 'half-space')[m - 1]}"
         )
-    # a plane split into several simplices repeats, which changes no minimum
-    normals, supports = hull.equations[:, :-1], -hull.equations[:, -1]
-    if supports.min() < MIN_SUPPORT:
-        raise OriginNotInteriorError(
-            f"facet support {supports.min():.3e} below {MIN_SUPPORT:.0e}"
-        )
-    # qhull lists the vertices of a 2-d hull counterclockwise
-    faces = cycle_faces(directions, hull.vertices) if m == 1 else _triangle_faces(directions, hull)
-    return HyperbolicPolytope(
-        m=m,
-        directions=directions,
-        radii=radii.copy(),
-        klein_vertices=klein,
-        facet_normals=normals,
-        facet_supports=supports,
-        faces=faces,
-    )
+    if m == 1:
+        # qhull lists the vertices of a 2-d hull counterclockwise
+        faces = cycle_faces(directions, hull.vertices)
+        _, _, norm, height = _face_planes(directions, faces.faces, t)
+    else:
+        _, _, norm, height = _face_planes(directions, hull.simplices, t)
+        faces = _triangle_faces(directions, hull, height < 0)
+    # a plane split into several triangles repeats, which changes no minimum
+    if not (low := (t.max() * np.abs(height) / norm).min()) >= MIN_SUPPORT:
+        raise OriginNotInteriorError(f"facet support {low:.3e} below {MIN_SUPPORT:.0e}")
+    return HyperbolicPolytope(m, directions, radii.copy(), faces)
 
 
 # -- support / radial / normal map ---------------------------------------
@@ -366,22 +375,28 @@ class FaceSet:
         top = t.max()
         if not top < 1.0:
             return False
-        # scaled so that the normals' squared norms cannot underflow
-        q = (t / top)[:, None] * self.directions
-        base = q[self.faces[:, 0]]
-        edge = q[self.faces[:, 1]] - base
-        if self.faces.shape[1] == 2:
-            normal = edge[:, ::-1] * _CLOCKWISE
-        else:
-            other = q[self.faces[:, 2]] - base
-            normal = np.column_stack([edge[:, 1] * other[:, 2] - edge[:, 2] * other[:, 1],
-                                      edge[:, 2] * other[:, 0] - edge[:, 0] * other[:, 2],
-                                      edge[:, 0] * other[:, 1] - edge[:, 1] * other[:, 0]])
-        height = (normal * base).sum(axis=1)
-        norm = np.sqrt((normal * normal).sum(axis=1))
-        below = (normal[:, None] * (q[self.opposite] - base[:, None])).sum(axis=2)
+        q, normal, norm, height = _face_planes(self.directions, self.faces, t)
+        below = (normal[:, None] * (q[self.opposite] - q[self.faces[:, :1]])).sum(axis=2)
         return bool(norm.min() > 0 and (top * height / norm).min() >= MIN_SUPPORT
                     and below.max() < 0)
+
+
+def _face_planes(directions: np.ndarray, faces: np.ndarray, t: np.ndarray):
+    """The planes of the faces through the Klein points t_i xi_i, formed on
+    q = (t / max t) xi so that |n|^2 cannot underflow: q, each face's normal
+    n (outward for faces turned outward), |n| and the height <n, q> of the
+    face, whose Klein support is max t * height / |n|."""
+    q = (t / t.max())[:, None] * directions
+    base = q[faces[:, 0]]
+    edge = q[faces[:, 1]] - base
+    if faces.shape[1] == 2:
+        normal = edge[:, ::-1] * _CLOCKWISE
+    else:
+        other = q[faces[:, 2]] - base
+        normal = np.column_stack([edge[:, 1] * other[:, 2] - edge[:, 2] * other[:, 1],
+                                  edge[:, 2] * other[:, 0] - edge[:, 0] * other[:, 2],
+                                  edge[:, 0] * other[:, 1] - edge[:, 1] * other[:, 0]])
+    return q, normal, np.sqrt((normal * normal).sum(axis=1)), (normal * base).sum(axis=1)
 
 
 def cycle_faces(directions: np.ndarray, order: np.ndarray | None = None) -> FaceSet:
@@ -394,16 +409,13 @@ def cycle_faces(directions: np.ndarray, order: np.ndarray | None = None) -> Face
                    opposite=np.concatenate([following[1:], following[:1]])[:, None])
 
 
-def _triangle_faces(directions: np.ndarray, hull: ConvexHull) -> FaceSet:
-    """The faces of an m=2 body: qhull's triangles, each turned outward by
-    its facet equation.  ``hull.neighbors[f, c]`` is the triangle across
-    from vertex c of triangle f, so the vertex across an edge is that
-    triangle's vertex sum minus the edge's two ends."""
-    tri, p, normal = hull.simplices, hull.points, hull.equations
-    u, v = p[tri[:, 1]] - p[tri[:, 0]], p[tri[:, 2]] - p[tri[:, 0]]
-    inward = (normal[:, 0] * (u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1])
-              + normal[:, 1] * (u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2])
-              + normal[:, 2] * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))[:, None] < 0
+def _triangle_faces(directions: np.ndarray, hull: ConvexHull, inward: np.ndarray) -> FaceSet:
+    """The faces of an m=2 body: qhull's triangles, each turned over where
+    ``inward``, as where its height over the interior basepoint is negative
+    (``_face_planes``).  ``hull.neighbors[f, c]`` is the triangle across from
+    vertex c of triangle f, so the vertex across an edge is that triangle's
+    vertex sum minus the edge's two ends."""
+    tri, inward = hull.simplices, inward[:, None]
     # edge e runs from vertex e to vertex e + 1, across from vertex e + 2;
     # turning a triangle over reverses its edges
     opposite = tri.sum(axis=1)[hull.neighbors[:, [2, 0, 1]]] - tri - tri[:, [1, 2, 0]]

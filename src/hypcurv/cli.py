@@ -37,7 +37,7 @@ def _emit_error(args, code: int, exc: Exception) -> int:
         payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
         if isinstance(exc, PreconditionError) and exc.report is not None:
             payload["condition_report"] = exc.report.to_dict()
-        print(json.dumps(payload), file=sys.stderr)
+        print(hio.report_json(payload, indent=None), file=sys.stderr)
     else:
         print(f"error: {exc}", file=sys.stderr)
     return code
@@ -52,7 +52,7 @@ def _out_dir(args) -> Path:
 def _cmd_check(args) -> int:
     mu = hio.load_measure(args.measure)
     report = check_conditions(mu)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(hio.report_json(report.to_dict()))
     return EXIT_OK if report.all_ok else EXIT_VALIDATION
 
 
@@ -87,8 +87,8 @@ def _cmd_forward(args) -> int:
     hio.save_report(payload, out / "forward_report.json")
     hio.save_measure(integral, out / "curvature_measure.json")
     _maybe_graphics(args, poly, out)
-    print(json.dumps({k: v for k, v in payload.items() if not isinstance(v, list) or k == "radii"},
-                     indent=2, default=str))
+    print(hio.report_json({k: v for k, v in payload.items()
+                           if not isinstance(v, list) or k == "radii"}))
     return EXIT_OK
 
 
@@ -131,12 +131,12 @@ def _cmd_solve(args) -> int:
     if report.body is not None:
         hio.save_body(report.body, out / "body.json")
         _maybe_graphics(args, report.body, out)
-    print(json.dumps({
+    print(hio.report_json({
         "converged": report.converged,
         "iterations": report.iterations,
         "max_el_residual": float(report.residuals.max()),
         "wall_time_s": report.wall_time,
-    }, indent=2))
+    }))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -144,8 +144,7 @@ def _cmd_roundtrip(args) -> int:
     poly = hio.load_body(args.body)
     mu = curvature_measure_integral(poly)
     report = solve(mu, _solve_config(args), force=args.force)
-    rows = []
-    max_rel = np.inf
+    rows, max_rel = [], None
     if report.body is not None:
         rel = np.abs(report.body.radii - poly.radii) / poly.radii
         max_rel = float(rel.max())
@@ -161,8 +160,7 @@ def _cmd_roundtrip(args) -> int:
     }
     out = _out_dir(args)
     hio.save_report(payload, out / "roundtrip_report.json")
-    print(json.dumps({"converged": report.converged,
-                      "max_rel_radius_error": max_rel}, indent=2))
+    print(hio.report_json({"converged": report.converged, "max_rel_radius_error": max_rel}))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -173,7 +171,7 @@ def _cmd_crofton(args) -> int:
                              h_cap=args.h_cap, seed=args.seed)
     out = _out_dir(args)
     hio.save_report(report.to_dict(), out / "crofton_report.json")
-    print(json.dumps(report.to_dict(), indent=2))
+    print(hio.report_json(report.to_dict()))
     return EXIT_OK
 
 

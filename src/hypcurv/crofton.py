@@ -237,15 +237,13 @@ def _form_extremes_search(samples: GeodesicSampleSet, poly: HyperbolicPolytope):
     corner = poly.klein_vertices[ring]
     polar = np.arctan2(corner[:, 1], corner[:, 0])
     shift = -int(np.argmin(polar))
-    ring, corner, polar = (np.roll(a, shift, axis=0) for a in (ring, corner, polar))
-    n = len(ring)
-    edge = np.roll(corner, -1, axis=0) - corner
-    normal = np.column_stack([edge[:, 1], -edge[:, 0]])
-    # edge j (from vertex j to j + 1) is visible from q iff <dual_j, q> > 1.
+    # edge j (face j, from vertex j to j + 1) is visible from q iff <dual_j, q> > 1.
     # Ring arrays are tiled three times and edge j0 sits at j0 + n: the chain
     # stops short of the edge the ray through -q crosses on both sides, so it
     # and the vertices just beyond its ends index them without a modulo.
-    dual = normal / np.sum(normal * corner, axis=1)[:, None]
+    dual = poly.facet_normals / poly.facet_supports[:, None]
+    ring, polar, dual = (np.roll(a, shift, axis=0) for a in (ring, polar, dual))
+    n = len(ring)
     dual_x, dual_y = (np.tile(dual[:, c], 3) for c in (0, 1))
     xi_x, xi_y = (np.tile(poly.directions[ring, c], 3) for c in (0, 1))
     k = np.tile(np.tanh(poly.radii)[ring], 3)

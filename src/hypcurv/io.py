@@ -89,8 +89,14 @@ def save_body(poly: HyperbolicPolytope, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def report_json(report_dict: dict, indent: int | None = 2) -> str:
+    """A report as standard JSON, with every non-finite float written as null."""
+    finite = json.loads(json.dumps(report_dict), parse_constant=lambda name: None)
+    return json.dumps(finite, indent=indent, allow_nan=False)
+
+
 def save_report(report_dict: dict, path) -> None:
-    Path(path).write_text(json.dumps(report_dict, indent=2) + "\n")
+    Path(path).write_text(report_json(report_dict) + "\n")
 
 
 # -- graphics ----------------------------------------------------------------

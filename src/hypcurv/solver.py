@@ -13,10 +13,10 @@ damped Newton on the residual alpha(psi) - a, which the corner formula of
   about the basepoint they are the body's faces, so the trial needs no hull
   and no re-validation, and the direction-only part of the corner formula
   is built once per face set.  Otherwise an m=1 trial is rejected: its
-  faces are the angular cycle of the support, fixed by the measure, so an
-  m=1 solve runs qhull only for the body it returns or, to report why, for
-  a start the cycle does not bound.  An m=2 trial goes to ``from_vertices``,
-  which rejects it or whose body's faces are kept from then on;
+  faces are the angular cycle of the support, fixed by the measure.  An m=2
+  trial goes to ``from_vertices``, which rejects it or whose body's faces
+  are kept from then on.  The returned body is built on the accepted
+  trial's faces, with no hull;
 * one pass of the corner formula gives each trial's angles and its Jacobian,
   d alpha / d r in closed form, times dr/dpsi = sinh r cosh r; weighted by
   cosh r it is symmetric, the Hessian of the paper's dual functional, whose
@@ -86,10 +86,9 @@ class SolveReport:
     ``condition_report`` is None for m=2 above EXHAUSTIVE_MAX_ATOMS atoms,
     where only the two O(N) conditions are checked and a converged solve
     certifies the measure.  ``hull_calls`` counts the solve's calls of
-    ``from_vertices``: one for the returned body, one for the first faces of
-    an m=2 solve, and one for each m=2 trial the kept faces do not bound.
-    So an m=1 solve makes exactly one: for the final body, or for a start
-    that the angular cycle does not bound.
+    ``from_vertices``: one for the start of an m=2 solve, one for each m=2
+    trial the kept faces do not bound and none for the returned body.  An
+    m=1 solve makes none, or one for a start the angular cycle does not bound.
     """
 
     psi: PotentialVector
@@ -129,11 +128,7 @@ def dual_gradient(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure) -> np.
 
 def transport_residuals(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure) -> np.ndarray:
     """Relative per-cell transport balance |cell mass - a_i g(psi_i)| / (a_i g)."""
-    values = _values(psi)
-    kernel = kernel_for(mu.m, mu.points)
-    masses, _ = kernel.cell_sums(np.exp(values))
-    target = mu.weights * g_psi(values)
-    return np.abs(masses - target) / target
+    return np.abs(dual_gradient(psi, mu)) / (mu.weights * g_psi(_values(psi)))
 
 
 def extract_body(psi: PotentialVector, mu: DiscreteMeasure) -> HyperbolicPolytope:
@@ -161,7 +156,8 @@ class _Trials:
     rejected, as its faces are fixed by the measure, and only a rejected
     start goes to ``from_vertices``, for its typed error.  An m=2 trial goes
     to ``from_vertices``, which raises, rejecting it, or whose body's faces
-    are kept from then on.  ``hull_calls`` counts the calls of ``from_vertices``.
+    are kept from then on, so a later trial may replace the faces of an
+    accepted one.  ``hull_calls`` counts the calls of ``from_vertices``.
     """
 
     def __init__(self, mu: DiscreteMeasure):
@@ -171,46 +167,42 @@ class _Trials:
         self.started = False
         self.hull_calls = 0
 
-    def body(self, radii: np.ndarray) -> HyperbolicPolytope:
-        """The body with these radii, built and validated by ``from_vertices``."""
-        self.hull_calls += 1
-        return from_vertices(self.mu.m, self.mu.points, radii)
-
     def __call__(self, psi: np.ndarray):
-        """The exterior angles of the body with potentials psi and d alpha / d psi.
-
-        Raises if the body is invalid or some exterior angle is not positive.
-        d alpha / d psi is d alpha / d r times dr/dpsi = sinh r cosh r.
-        """
+        """The exterior angles of the body with potentials psi, d alpha / d psi
+        and the body's faces.  Raises if the body is invalid or some exterior
+        angle is not positive.  d alpha / d psi is d alpha / d r times dr/dpsi
+        = sinh r cosh r."""
         radii = np.arctanh(np.exp(psi))
         if self.faces is None or not self.faces.bound(radii):
             if self.mu.m == 1 and self.started:
                 raise ValueError("the angular cycle does not bound the trial")
-            self.faces = self.body(radii).faces
+            self.hull_calls += 1
+            self.faces = from_vertices(self.mu.m, self.mu.points, radii).faces
         self.started = True
         alpha, jac = angles_and_jacobian(self.faces.frame, radii)
         if not alpha.min() > 0:
             raise ValueError("every exterior angle must be positive")
         jac *= np.sinh(radii) * np.cosh(radii)
-        return alpha, jac
+        return alpha, jac, self.faces
 
 
 def _newton(trials: _Trials, mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverConfig):
     """Damped Newton on alpha(psi) = a from a valid start.
 
-    Returns (psi, alpha, residual history, damping history, stop reason).
+    Returns (psi, alpha, the faces of the body at psi, residual history,
+    damping history, stop reason).
     """
-    alpha, jac = trials(psi)
+    alpha, jac, faces = trials(psi)
     history = [float(np.abs(alpha - mu.weights).max())]
     dampings = []
     tol = cfg.tol * mu.total
     while history[-1] > tol:
         if len(history) > cfg.max_iter:
-            return psi, alpha, history, dampings, "max_iter"
+            return psi, alpha, faces, history, dampings, "max_iter"
         try:
             step = np.linalg.solve(jac, mu.weights - alpha)
         except np.linalg.LinAlgError:
-            return psi, alpha, history, dampings, "damping"
+            return psi, alpha, faces, history, dampings, "damping"
         damping = 1.0
         while True:
             trial = psi + damping * step
@@ -218,7 +210,7 @@ def _newton(trials: _Trials, mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverCo
             # rejects a NaN step
             if trial.max() < -PSI_FLOOR:
                 try:
-                    trial_alpha, trial_jac = trials(trial)
+                    trial_alpha, trial_jac, trial_faces = trials(trial)
                 except ValueError:
                     pass
                 else:
@@ -227,11 +219,11 @@ def _newton(trials: _Trials, mu: DiscreteMeasure, psi: np.ndarray, cfg: SolverCo
                         break
             damping *= 0.5
             if damping < MIN_DAMPING:
-                return psi, alpha, history, dampings, "damping"
-        psi, alpha, jac = trial, trial_alpha, trial_jac
+                return psi, alpha, faces, history, dampings, "damping"
+        psi, alpha, jac, faces = trial, trial_alpha, trial_jac, trial_faces
         history.append(res)
         dampings.append(damping)
-    return psi, alpha, history, dampings, "converged"
+    return psi, alpha, faces, history, dampings, "converged"
 
 
 def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
@@ -246,9 +238,9 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
     a converged solve certifies mu (the paper's necessity direction: every
     body's curvature measure is admissible), and a failed one gives its
     ``stop_reason``.  The returned report carries the potential, the
-    residual and damping histories, the relative per-atom residuals and,
-    when the potential describes a valid body, that body.  With ``force`` it
-    never raises: an invalid start gives an unconverged report with
+    residual and damping histories, the relative per-atom residuals and the
+    body, built on the accepted trial's faces.  With ``force`` it never
+    raises: an invalid start gives an unconverged report with no body and
     ``extraction_error`` set.
     """
     cfg = config or SolverConfig()
@@ -262,7 +254,7 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
     psi0 = np.full(mu.size, _ball_heuristic_psi(mu))
     trials = _Trials(mu)
     try:
-        psi, alpha, history, dampings, reason = _newton(trials, mu, psi0, cfg)
+        psi, alpha, faces, history, dampings, reason = _newton(trials, mu, psi0, cfg)
     except ValueError as exc:
         return SolveReport(
             psi=PotentialVector(mu.m, mu.points, psi0),
@@ -275,11 +267,6 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
             wall_time=time.perf_counter() - start,
             extraction_error=str(exc),
         )
-    body, error = None, None
-    try:
-        body = trials.body(np.arctanh(np.exp(psi)))
-    except ValueError as exc:
-        error = str(exc)
     return SolveReport(
         psi=PotentialVector(mu.m, mu.points, psi),
         converged=reason == "converged",
@@ -288,9 +275,8 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
         residual_history=history,
         damping_history=dampings,
         residuals=np.abs(alpha - mu.weights) / mu.weights,
-        body=body,
+        body=HyperbolicPolytope(mu.m, mu.points, np.arctanh(np.exp(psi)), faces),
         condition_report=cond,
         hull_calls=trials.hull_calls,
         wall_time=time.perf_counter() - start,
-        extraction_error=error,
     )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hypcurv as hc
@@ -22,6 +22,7 @@ from hypcurv.bodies import (
 )
 from hypcurv.cells import SupportKernel
 from hypcurv.minkowski import random_unit_vectors
+from scipy.spatial import ConvexHull
 
 
 def dirs_from_angles(angles):
@@ -39,6 +40,11 @@ def _twin_opposite(faces):
     twin = order[np.minimum(np.searchsorted(keys[order], heads * n + tails), len(keys) - 1)]
     assert np.array_equal(keys[twin], heads * n + tails)
     return np.roll(faces, -2, axis=1).ravel()[twin].reshape(faces.shape)
+
+
+def _face_keys(faces):
+    """Each face as the sorted tuple of its vertices."""
+    return [tuple(face) for face in np.sort(faces, axis=1).tolist()]
 
 
 def _assert_own_faces(poly):
@@ -87,6 +93,39 @@ class TestConstruction:
                 chord = poly.directions @ poly.directions.T
                 np.fill_diagonal(chord, -1.0)
                 assert chord.max() <= np.cos(0.5 / np.sqrt(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.one_of(st.tuples(st.just(1), st.integers(4, 12)),
+                           st.tuples(st.just(2), st.integers(5, 10))),
+           seed=st.integers(0, 2**32 - 1),
+           top=st.sampled_from([1e-3, 1e-2, 0.5, 1 - 1e-9, 1 - 1e-15]))
+    def test_facet_planes_match_qhull_and_solve_bodies(self, shape, seed, top):
+        # the planes come from the stored faces; qhull's equations are the
+        # oracle, face by face, with the Klein radii scaled so that the
+        # largest is ``top``, towards 0 or towards the Klein limit
+        m, n = shape
+        body = random_polytope(m, n, np.random.default_rng(seed))
+        t = np.tanh(body.radii)
+        try:
+            body = from_vertices(m, body.directions, np.arctanh(t * (top / t.max())))
+        except hc.OriginNotInteriorError:
+            assume(False)
+        for array in (body.facet_normals, body.facet_supports):
+            assert np.all(np.isfinite(array)) and not array.flags.writeable
+        hull = ConvexHull(body.klein_vertices)
+        oracle = dict(zip(_face_keys(hull.simplices), hull.equations))
+        planes = dict(zip(_face_keys(body.faces.faces),
+                          np.column_stack([body.facet_normals, -body.facet_supports])))
+        assert planes.keys() == oracle.keys()
+        assert max(np.abs(planes[key] - oracle[key]).max() for key in planes) <= 1e-14
+        # the body a solve returns is the one from_vertices builds on its radii
+        rep = hc.solve(curvature_measure_angles(body), force=True)
+        if rep.body is not None:
+            again = from_vertices(m, rep.body.directions, rep.body.radii)
+            kept = dict(zip(_face_keys(rep.body.faces.faces), rep.body.facet_supports))
+            built = dict(zip(_face_keys(again.faces.faces), again.facet_supports))
+            assert kept.keys() == built.keys()
+            assert max(abs(kept[key] - built[key]) for key in kept) <= 1e-14
 
     def test_square_symmetric_facets(self, square):
         assert square.n_vertices == 4

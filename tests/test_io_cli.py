@@ -216,11 +216,38 @@ class TestCli:
         assert rep["max_rel_radius_error"] < 1e-4
 
     def test_solve_report_counts_hull_calls(self, fixture_dir, workdir):
-        # an m=1 solve runs qhull once, for the body it returns
+        # an m=1 solve whose start the angular cycle bounds runs no qhull,
+        # not even for the body it returns
         assert main(["solve", str(fixture_dir / "measure_valid_3pt.json"),
                      "--out", str(workdir / "solve")]) == 0
         rep = json.loads((workdir / "solve" / "solve_report.json").read_text())
-        assert rep["converged"] and rep["hull_calls"] == 1
+        assert rep["converged"] and rep["hull_calls"] == 0
+
+    def test_forced_geometry_stop_writes_standard_json(self, fixture_dir, workdir, capsys,
+                                                        monkeypatch):
+        # a solve that finds no valid start has infinite residuals, and a
+        # round trip with no body no radius error: both are null
+        def strict(text):
+            def refuse(name):
+                raise ValueError(f"non-standard JSON constant {name}")
+            return json.loads(text, parse_constant=refuse)
+
+        # four atoms on an arc of 0.1 rad: the ball start has no valid body
+        narrow = fixture_dir / "measure_alexandrov_violating.json"
+        assert main(["solve", str(narrow), "--force", "--out", str(workdir / "s")]) == 3
+        summary = strict(capsys.readouterr().out)
+        rep = strict((workdir / "s" / "solve_report.json").read_text())
+        assert rep["stop_reason"] == "geometry" and rep["radii"] is None
+        assert rep["el_residuals"] == [None] * 4 and summary["max_el_residual"] is None
+        # the round trip of a body whose solve stops the same way
+        stopped = hc.solve(hio.load_measure(narrow), force=True)
+        monkeypatch.setattr("hypcurv.cli.solve", lambda mu, config, force: stopped)
+        assert main(["roundtrip", str(fixture_dir / "body_square_m1.json"),
+                     "--out", str(workdir / "rt")]) == 3
+        summary = strict(capsys.readouterr().out)
+        rep = strict((workdir / "rt" / "roundtrip_report.json").read_text())
+        assert rep["max_rel_radius_error"] is None and summary["max_rel_radius_error"] is None
+        assert not rep["converged"] and rep["table"] == []
 
     def test_solve_invalid_measure_exit_2_with_json_errors(self, fixture_dir, workdir, capsys):
         code = main(["solve", str(fixture_dir / "measure_vertex_violating.json"),

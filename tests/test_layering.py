@@ -6,6 +6,8 @@ and the package re-exports it; the tests read grids as oracles.  These tests
 follow each module's package-relative imports, transitively or one step.
 Hulls are built in two places only: ``bodies`` builds a body's hull and
 turns its faces outward, and ``cells`` builds the hull of a support kernel.
+``bodies`` reads no qhull facet equations: a body's facet planes come from
+its faces by one formula (``bodies._face_planes``).
 """
 
 import ast
@@ -72,3 +74,9 @@ def test_only_bodies_and_cells_construct_hulls():
                 if name == "ConvexHull":
                     builders.add(path.stem)
     assert builders == {"bodies", "cells"}
+
+
+def test_bodies_reads_no_facet_equations():
+    tree = ast.parse((PACKAGE / "bodies.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "equations"]

@@ -170,9 +170,10 @@ def test_force_overrides_precondition():
     assert rep.body is not None
     assert np.all(np.diff(rep.residual_history) < 0.0)
     # the trials the angular cycle does not bound are refused without qhull,
-    # so the only hull call is the returned body's; the residual history is
-    # the one the solve had when from_vertices refused them (85 hull calls)
-    assert rep.hull_calls == 1
+    # and the returned body is built on the cycle, so the solve runs no hull;
+    # the residual history is the one the solve had when from_vertices
+    # refused them (85 hull calls)
+    assert rep.hull_calls == 0
     assert rep.residual_history == [float.fromhex(h) for h in (
         "0x1.aee54b9e50988p-1", "0x1.aee4ff9baaeb4p-1", "0x1.aee4ff9b310d0p-1")]
 
@@ -502,25 +503,26 @@ def test_reflex_m1_vertex_is_rejected():
     assert start.hull_calls == 1
 
 
-def test_m1_solves_run_one_hull(criterion06_bodies):
+def test_m1_solves_run_no_hull(criterion06_bodies):
     for k, body in enumerate(criterion06_bodies[1]):
         rep = solve(hc.curvature_measure_angles(body))
-        assert rep.converged and rep.hull_calls == 1, (k, rep.hull_calls)
+        assert rep.converged and rep.hull_calls == 0, (k, rep.hull_calls)
 
 
 def test_m2_solve_adopts_new_faces(criterion06_bodies):
     # the ball start's faces are those of the directions' spherical hull; a
     # body whose faces differ from them makes the kept faces fail on the way,
-    # so its solve runs qhull for the start, at least once more, and at the end
+    # so its solve runs qhull for the start and at least once more; the
+    # returned body keeps the accepted trial's faces
     changed = 0
     for k, body in enumerate(criterion06_bodies[2][:10]):
         mu = hc.curvature_measure_angles(body)
         start = np.full(mu.size, np.arctanh(np.exp(_ball_heuristic_psi(mu))))
         ball = hc.from_vertices(2, mu.points, start)
         rep = solve(mu)
-        assert rep.converged and rep.hull_calls >= 2, k
+        assert rep.converged and rep.hull_calls >= 1, k
         if _hull_faces(ball) != _hull_faces(rep.body):
             changed += 1
-            assert rep.hull_calls >= 3, k
+            assert rep.hull_calls >= 2, k
         assert np.abs(rep.body.radii - body.radii).max() <= 1e-10 * body.radii.min(), k
     assert changed > 0
