@@ -5,8 +5,9 @@ angle, so the inverse problem is solved by damped Newton on the exact
 angles alpha(r) = a, in the potentials psi_i = log tanh r_i; the recovered
 radii are r_i = artanh(e^{psi_i}).  The script round-trips a known body
 (forward measure -> solve -> compare radii), then reconstructs a body from a
-hand-written measure, and ends with a table of solve times as the body
-grows.
+hand-written measure, prints a table of solve times as the body grows,
+and ends by setting the solve time of two m=2 bodies next to the time of
+their exact admissibility check.
 """
 
 import resource
@@ -80,3 +81,18 @@ for label, body in cases:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"{label:>18} {body.n_vertices:>8} {report.wall_time:>8.3f} {report.iterations:>5} "
           f"{report.hull_calls:>10} {err:>10.1e} {peak:>8.1f}")
+
+print()
+print("== certificate first: solve against the exact admissibility check ==")
+# A converged solve certifies its measure, so it runs no 2^N-subset check;
+# check_conditions is what the solve would have paid to check first.  The
+# icosahedron's 6 antipodal pairs send most subsets to the per-subset hull.
+certified = [("icosahedron", hc.from_vertices(2, hc.build_grid(2, 0).nodes, np.ones(12))),
+             ("random 20 atoms", hc.random_polytope(2, 20, np.random.default_rng(20)))]
+print(f"{'body':>18} {'atoms':>8} {'solve s':>8} {'check s':>8} {'converged':>9}")
+for label, body in certified:
+    mu = hc.curvature_measure_angles(body)
+    report = hc.solve(mu)
+    cond = hc.check_conditions(mu)
+    print(f"{label:>18} {mu.size:>8} {report.wall_time:>8.4f} {cond.wall_time:>8.4f} "
+          f"{str(report.converged):>9}")

@@ -356,6 +356,11 @@ class FaceSet:
             flat=np.concatenate([i * n + i, i * n + j, i * n + k]),
         )
 
+    def least_support(self, t: np.ndarray) -> float:
+        """The least Klein support of these faces through the points t_i xi_i."""
+        _, _, norm, height = _face_planes(self.directions, self.faces, t)
+        return float((t.max() * height / norm).min())
+
     def bound(self, radii: np.ndarray) -> bool:
         """Whether these faces are the faces of the valid body with these radii.
 

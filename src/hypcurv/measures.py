@@ -13,8 +13,9 @@ equals the true infimum.
 Every check is exact.  m=1 enumerates the arcs between support points and
 takes each arc's mass as a difference of cyclic prefix sums, O(N^2) in all.
 The m=2 check evaluates all 2^N - 1 subsets as bit masks and is refused
-above EXHAUSTIVE_MAX_ATOMS atoms; there a converged ``solver.solve`` is the
-certificate of admissibility.  The pair geometry below is computed once per
+above EXHAUSTIVE_MAX_ATOMS atoms.  At every N a converged ``solver.solve``
+is the certificate of admissibility, and it runs this check only when
+Newton fails.  The pair geometry below is computed once per
 measure, and every mask's slack sits at its own index of one table of 2^N
 entries (``_slack_table``), filled in blocks of 2^16 masks that share their
 bits from 16 up.

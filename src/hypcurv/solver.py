@@ -7,7 +7,10 @@ alpha(r) = a.  It works in the potentials psi_i = log tanh r_i < 0 and runs
 damped Newton on the residual alpha(psi) - a, which the corner formula of
 ``bodies`` evaluates exactly, with no grid:
 
-* the start is the ball whose total curvature is the measure's total;
+* the start is the ball whose total curvature is the measure's total.  For
+  m=1 its common radius is raised where the ball's least facet support on
+  the angular cycle would fall below MIN_SUPPORT, which would reject the
+  start although a body exists;
 * each trial is evaluated on the faces of the last body validated
   (``HyperbolicPolytope.faces``).  While they stay strictly locally convex
   about the basepoint they are the body's faces, so the trial needs no hull
@@ -35,6 +38,13 @@ its gradient (component i: a_i g(psi_i) minus the mass of cell i) and the
 per-cell transport residuals stay as oracles independent of the solve, exact
 over the cells (``cells``).  Cell i's mass is cosh(r_i) alpha_i, and g(psi_i) = cosh(r_i), so the gradient
 vanishes exactly where alpha = a.
+
+Admissibility is certified, not enumerated, when the solve succeeds: the
+two O(N) conditions of ``measures`` run before Newton, and a converged
+solve proves the rest, by the paper's necessity direction (every body's
+curvature measure is admissible).  The exact ``check_conditions``, 2^N
+subsets for m=2, runs only after a solve that does not converge, to name
+the condition mu fails.
 """
 
 from __future__ import annotations
@@ -45,7 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import HyperbolicPolytope, angles_and_jacobian, cycle_faces, from_vertices
+from .bodies import (MIN_SUPPORT, FaceSet, HyperbolicPolytope, angles_and_jacobian, cycle_faces,
+                     from_vertices)
 from .ctransform import PSI_FLOOR, PotentialVector, kernel_for
 from .densities import G_psi, g_psi
 from .errors import PreconditionError
@@ -83,9 +94,9 @@ class SolveReport:
     strictly; it is empty when the start is invalid.  ``damping_history``
     holds the accepted step factor of each step, aligned with
     ``residual_history[1:]``, so it has ``iterations`` entries.
-    ``condition_report`` is None for m=2 above EXHAUSTIVE_MAX_ATOMS atoms,
-    where only the two O(N) conditions are checked and a converged solve
-    certifies the measure.  ``hull_calls`` counts the solve's calls of
+    ``condition_report`` is None for a converged solve, which certifies the
+    measure, and for m=2 above EXHAUSTIVE_MAX_ATOMS atoms, where no exact
+    check exists; otherwise it is the exact check run after Newton failed.  ``hull_calls`` counts the solve's calls of
     ``from_vertices``: one for the start of an m=2 solve, one for each m=2
     trial the kept faces do not bound and none for the returned body.  An
     m=1 solve makes none, or one for a start the angular cycle does not bound.
@@ -140,12 +151,19 @@ def extract_body(psi: PotentialVector, mu: DiscreteMeasure) -> HyperbolicPolytop
     return from_vertices(mu.m, mu.points, np.arctanh(np.exp(psi.values)))
 
 
-def _ball_heuristic_psi(mu: DiscreteMeasure) -> float:
+def _ball_heuristic_psi(mu: DiscreteMeasure, faces: FaceSet | None = None) -> float:
     # r0 solves mu(S^m) = cosh^m(r0) sigma(S^m); guard ratio <= 1 for the
     # force path on measures violating the total-mass condition
     ratio = max(mu.total / sphere_measure(mu.m), 1.0 + 1e-12)
-    r0 = np.arccosh(ratio ** (1.0 / mu.m))
-    return float(np.log(np.tanh(max(r0, 1e-3))))
+    t0 = np.tanh(max(np.arccosh(ratio ** (1.0 / mu.m)), 1e-3))
+    # on the given faces the ball's least Klein support is t0 times that of
+    # the unit directions; where it falls short of MIN_SUPPORT, and some
+    # t0 < 1 clears it, t0 moves half way from the least such value to 1
+    if faces is not None:
+        least = faces.least_support(np.ones(mu.size))
+        if t0 * least < MIN_SUPPORT < least:
+            t0 = 0.5 * (1.0 + MIN_SUPPORT / least)
+    return float(np.log(t0))
 
 
 class _Trials:
@@ -230,53 +248,56 @@ def solve(mu: DiscreteMeasure, config: SolverConfig | None = None,
           force: bool = False) -> SolveReport:
     """Reconstruct the convex body whose curvature measure is mu.
 
-    Checks the admissibility conditions first where the check is exact (m=1,
-    or N <= EXHAUSTIVE_MAX_ATOMS), as a hard precondition unless ``force`` is
-    set, then runs damped Newton from the ball heuristic.  Above the limit
-    only the two O(N) conditions run; a failure raises PreconditionError with
-    ``report=None`` and a message naming the condition and its margin.  There
-    a converged solve certifies mu (the paper's necessity direction: every
-    body's curvature measure is admissible), and a failed one gives its
-    ``stop_reason``.  The returned report carries the potential, the
-    residual and damping histories, the relative per-atom residuals and the
-    body, built on the accepted trial's faces.  With ``force`` it never
-    raises: an invalid start gives an unconverged report with no body and
+    The two O(N) conditions run first, as a hard precondition unless
+    ``force`` is set.  A failure raises PreconditionError with the full
+    ``check_conditions`` report where the exact check exists (m=1, or
+    N <= EXHAUSTIVE_MAX_ATOMS), and above the limit with ``report=None`` and
+    a message naming the condition and its margin.  Then damped Newton runs
+    from the ball start.  A converged solve certifies mu, so it runs no
+    exact check and its ``condition_report`` is None.  A solve that does not
+    converge runs the exact check where it exists and raises
+    PreconditionError with its report when mu fails it, unless ``force`` is
+    set; otherwise the report is attached.  So, without ``force``, solve
+    raises exactly when the exact check fails, except on a measure whose
+    least subset slack lies within the check's margin (COND_EPS_FACTOR of
+    the sphere's measure) and on which Newton converges.  The returned report carries the potential, the residual and
+    damping histories, the relative per-atom residuals and the body, built
+    on the accepted trial's faces.  With ``force`` it never raises: an
+    invalid start gives an unconverged report with no body and
     ``extraction_error`` set.
     """
     cfg = config or SolverConfig()
     start = time.perf_counter()
-    cond = check_conditions(mu) if mu.m == 1 or mu.size <= EXHAUSTIVE_MAX_ATOMS else None
-    if cond is not None and not cond.all_ok and not force:
-        raise PreconditionError(cond)
-    if cond is None and not force and (failure := mass_violation(mu)):
-        raise PreconditionError(None, failure)
+    exact = mu.m == 1 or mu.size <= EXHAUSTIVE_MAX_ATOMS
+    if not force and (failure := mass_violation(mu)):
+        raise PreconditionError(check_conditions(mu)) if exact else PreconditionError(None, failure)
 
-    psi0 = np.full(mu.size, _ball_heuristic_psi(mu))
     trials = _Trials(mu)
+    psi0 = np.full(mu.size, _ball_heuristic_psi(mu, trials.faces))
+    error = None
     try:
         psi, alpha, faces, history, dampings, reason = _newton(trials, mu, psi0, cfg)
     except ValueError as exc:
-        return SolveReport(
-            psi=PotentialVector(mu.m, mu.points, psi0),
-            converged=False,
-            iterations=0,
-            stop_reason="geometry",
-            residuals=np.full(mu.size, np.inf),
-            condition_report=cond,
-            hull_calls=trials.hull_calls,
-            wall_time=time.perf_counter() - start,
-            extraction_error=str(exc),
-        )
+        psi, alpha, faces, history, dampings, reason = psi0, None, None, [], [], "geometry"
+        error = str(exc)
+    cond = None
+    if reason != "converged" and exact:
+        cond = check_conditions(mu)
+        if not cond.all_ok and not force:
+            raise PreconditionError(cond)
     return SolveReport(
         psi=PotentialVector(mu.m, mu.points, psi),
         converged=reason == "converged",
-        iterations=len(history) - 1,
+        iterations=max(len(history) - 1, 0),
         stop_reason=reason,
         residual_history=history,
         damping_history=dampings,
-        residuals=np.abs(alpha - mu.weights) / mu.weights,
-        body=HyperbolicPolytope(mu.m, mu.points, np.arctanh(np.exp(psi)), faces),
+        residuals=(np.full(mu.size, np.inf) if alpha is None
+                   else np.abs(alpha - mu.weights) / mu.weights),
+        body=None if faces is None else HyperbolicPolytope(
+            mu.m, mu.points, np.arctanh(np.exp(psi)), faces),
         condition_report=cond,
         hull_calls=trials.hull_calls,
         wall_time=time.perf_counter() - start,
+        extraction_error=error,
     )

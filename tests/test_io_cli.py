@@ -223,6 +223,15 @@ class TestCli:
         rep = json.loads((workdir / "solve" / "solve_report.json").read_text())
         assert rep["converged"] and rep["hull_calls"] == 0
 
+    def test_converged_solve_writes_no_condition_report(self, fixture_dir, workdir):
+        # a converged solve certifies its measure and runs no exact check
+        assert main(["solve", str(fixture_dir / "measure_valid_3pt.json"),
+                     "--out", str(workdir / "solve")]) == 0
+        text = (workdir / "solve" / "solve_report.json").read_text()
+        rep = json.loads(text)
+        assert rep["converged"] and rep["condition_report"] is None
+        assert '"condition_report": null' in text
+
     def test_forced_geometry_stop_writes_standard_json(self, fixture_dir, workdir, capsys,
                                                         monkeypatch):
         # a solve that finds no valid start has infinite residuals, and a

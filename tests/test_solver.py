@@ -1,11 +1,18 @@
+import importlib.util
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypcurv as hc
+import hypcurv.solver as solver_module
 from hypcurv.bodies import _corner_angles, angles_and_jacobian, cycle_faces
 from hypcurv.measures import EXHAUSTIVE_MAX_ATOMS, DiscreteMeasure
+from hypcurv.minkowski import random_unit_vectors, sphere_measure
 from hypcurv.solver import (
     SolverConfig,
     _ball_heuristic_psi,
@@ -210,7 +217,8 @@ def test_stop_reasons(square_mu, criterion06_bodies):
 
 def test_report_carries_diagnostics(square_mu):
     rep = solve(square_mu)
-    assert rep.condition_report.all_ok
+    # a converged solve certifies the measure and runs no exact check
+    assert rep.condition_report is None
     assert len(rep.residual_history) == rep.iterations + 1
     assert rep.residuals.shape == (square_mu.size,)
     assert rep.residuals.max() <= 1e-12
@@ -526,3 +534,135 @@ def test_m2_solve_adopts_new_faces(criterion06_bodies):
             assert rep.hull_calls >= 2, k
         assert np.abs(rep.body.radii - body.radii).max() <= 1e-10 * body.radii.min(), k
     assert changed > 0
+
+
+# -- certificate-first solve ------------------------------------------------
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The measures ``solve`` hands to ``check_conditions``, in call order."""
+    calls = []
+    real = solver_module.check_conditions
+
+    def counted(mu):
+        calls.append(mu)
+        return real(mu)
+
+    monkeypatch.setattr(solver_module, "check_conditions", counted)
+    return calls
+
+
+def _narrow_arc():
+    # four atoms on an arc of 0.1 rad: the subset condition fails, and the
+    # ball start has the basepoint on its boundary
+    return DiscreteMeasure(1, dirs_from_angles(0.1 * np.arange(4) / 3.0), np.full(4, 1.6))
+
+
+def _light_m1():
+    # total mass 4 < 2 pi
+    return DiscreteMeasure(1, dirs_from_angles([0.0, 1.8, 2.6, 4.4]), np.ones(4))
+
+
+def test_converged_solves_run_no_exact_check(check_calls):
+    rng = np.random.default_rng(24)
+    bodies = [hc.random_polytope(1, 9, rng), hc.random_polytope(2, 9, rng),
+              hc.from_vertices(2, hc.build_grid(2, 0).nodes, np.ones(12)),
+              hc.random_polytope(2, EXHAUSTIVE_MAX_ATOMS, rng)]
+    for body in bodies:
+        rep = solve(hc.curvature_measure_angles(body))
+        assert rep.converged and rep.condition_report is None, body.n_vertices
+        assert np.abs(rep.body.radii - body.radii).max() <= 1e-10 * body.radii.min()
+    assert check_calls == []
+
+
+def test_failing_solves_run_one_exact_check(check_calls, square_mu, criterion06_bodies):
+    stalled = hc.curvature_measure_angles(criterion06_bodies[2][0])
+    for mu, kwargs, admissible in (
+            (_narrow_arc(), {}, False),                      # geometry, subset condition
+            (_narrow_arc(), {"force": True}, False),
+            (_light_m1(), {}, False),                        # the O(N) pre-check
+            (_light_m1(), {"force": True}, False),           # damping
+            (stalled, {"config": SolverConfig(max_iter=2)}, True),
+            (square_mu, {"config": SolverConfig(tol=1e-30)}, True)):
+        check_calls.clear()
+        if admissible or kwargs.get("force"):
+            rep = solve(mu, **kwargs)
+            assert not rep.converged and rep.condition_report.all_ok == admissible
+        else:
+            with pytest.raises(hc.PreconditionError) as info:
+                solve(mu, **kwargs)
+            assert info.value.report is not None
+        assert len(check_calls) == 1 and check_calls[0] is mu, kwargs
+
+
+def _bench_admissibility_measures(seed, monkeypatch):
+    """The measures the benchmark's ``admissibility_m2`` workload checks."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    seen = []
+    with monkeypatch.context() as patch:
+        # its dataclasses look their module up by name
+        patch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        patch.setattr(workloads.hc, "check_conditions", seen.append)
+        for op in workloads.admissibility_m2(seed):
+            op.run()
+    return seen
+
+
+def _decide(mu):
+    """The solve's report, or None where it raises PreconditionError, after
+    asserting that it raises exactly when ``check_conditions`` fails, with
+    that report."""
+    cond = hc.check_conditions(mu)
+    try:
+        rep = solve(mu)
+    except hc.PreconditionError as exc:
+        assert not cond.all_ok
+        assert replace(exc.report, wall_time=0.0) == replace(cond, wall_time=0.0)
+        return None
+    assert cond.all_ok
+    return rep
+
+
+def test_solve_raises_exactly_when_the_exact_check_fails(monkeypatch):
+    measures = [mu for seed in range(3) for mu in _bench_admissibility_measures(seed, monkeypatch)]
+    measures += [_narrow_arc(), _light_m1()]
+    reports = [_decide(mu) for mu in measures]
+    # per seed: five bodies, which converge, and three violators
+    assert len(reports) == 3 * 8 + 2
+    assert sum(rep is None for rep in reports) == 3 * 3 + 2
+    assert all(rep is None or rep.converged for rep in reports)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.one_of(st.tuples(st.just(1), st.integers(4, 12)),
+                       st.tuples(st.just(2), st.integers(5, 12))),
+       seed=st.integers(0, 2**32 - 1), cut=st.floats(-1.0, 1.0),
+       shrink=st.floats(0.02, 1.0), excess=st.floats(-0.1, 0.6))
+def test_solve_decides_as_the_exact_check_property(shape, seed, cut, shrink, excess):
+    # a body's measure with the atoms on the far side of a random plane
+    # shrunk, then scaled to the sphere's measure times 1 + excess: each
+    # condition, and the subset condition alone, fails in some draws
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    mu = hc.curvature_measure_angles(hc.random_polytope(m, n, rng))
+    weights = mu.weights * np.where(mu.points @ random_unit_vectors(m, 1, rng)[0] < cut,
+                                    shrink, 1.0)
+    weights *= (1.0 + excess) * sphere_measure(m) / weights.sum()
+    _decide(DiscreteMeasure(m, mu.points, weights))
+
+
+def test_thin_triangle_starts_on_a_raised_ball():
+    # a valid triangle whose least Klein support, 1.1e-6, is barely above
+    # MIN_SUPPORT: the ball of the same total curvature fell below it, at
+    # 7.9e-7, and the solve stopped on geometry
+    gap = 2.2e-6 / np.tanh(3.0)
+    body = hc.from_vertices(1, dirs_from_angles([0.0, np.pi - gap, 1.5 * np.pi]),
+                            np.full(3, 3.0))
+    assert body.facet_supports.min() < 1.2e-6
+    rep = solve(hc.curvature_measure_angles(body))
+    assert rep.converged and rep.hull_calls == 0
+    assert np.abs(rep.body.radii - body.radii).max() <= 1e-10
