@@ -35,7 +35,6 @@ from .densities import F_phi, G_psi, f_phi, g_psi
 from .errors import (
     DegenerateHullError,
     HypcurvError,
-    IntegrationError,
     NonExtremeVertexError,
     OriginNotInteriorError,
     PreconditionError,
@@ -61,13 +60,12 @@ from .minkowski import (
     lorentz_dot,
     sphere_measure,
 )
-from .quadrature import QuadratureGrid, build_grid, integrate
+from .quadrature import QuadratureGrid, build_grid
 from .solver import (
     SolveReport,
     SolverConfig,
     dual_gradient,
     dual_objective,
-    extract_body,
     solve,
     transport_residuals,
 )

@@ -56,6 +56,7 @@ from .quadrature import build_grid
 
 # Strict interiority threshold for the basepoint, in Klein support distance.
 MIN_SUPPORT = 1e-6
+MIN_EXTERIOR = 0.01  # random_polytope redraws a body with a smaller exterior angle
 
 
 @dataclass(frozen=True)
@@ -471,13 +472,13 @@ def icosphere_body(level: int, radius: float) -> HyperbolicPolytope:
     return from_vertices(2, grid.nodes.copy(), np.full(grid.size, float(radius)))
 
 
-def _sampled_body(m, dirs, radii, min_exterior):
+def _sampled_body(m, dirs, radii):
     """The polytope, or None when it is invalid or has a nearly flat vertex."""
     try:
         poly = from_vertices(m, dirs, radii)
     except (NonExtremeVertexError, OriginNotInteriorError, DegenerateHullError):
         return None
-    if curvature_measure_angles(poly).weights.min() < min_exterior:
+    if curvature_measure_angles(poly).weights.min() < MIN_EXTERIOR:
         return None
     return poly
 
@@ -500,13 +501,12 @@ def _jittered_directions(m: int, n: int, rng: np.random.Generator) -> np.ndarray
 
 
 def random_polytope(m: int, n: int, rng: np.random.Generator,
-                    r_min: float = 0.4, r_max: float = 1.6,
-                    min_exterior: float = 0.01) -> HyperbolicPolytope:
+                    r_min: float = 0.4, r_max: float = 1.6) -> HyperbolicPolytope:
     """Random valid polytope with n vertices, for tests and demos.
 
     Rejection-samples direction sets with a minimum angular separation and
     radii in [r_min, r_max] until every vertex is extreme, the basepoint is
-    interior, and every exterior angle is at least ``min_exterior``.  The
+    interior, and every exterior angle is at least ``MIN_EXTERIOR``.  The
     last condition keeps the sample away from bodies with nearly-flat
     vertices, whose curvature atoms carry almost no mass.
 
@@ -529,7 +529,7 @@ def random_polytope(m: int, n: int, rng: np.random.Generator,
         np.fill_diagonal(chord, -1.0)
         if chord.max() > np.cos(min_sep):
             continue
-        poly = _sampled_body(m, dirs, rng.uniform(r_min, r_max, size=n), min_exterior)
+        poly = _sampled_body(m, dirs, rng.uniform(r_min, r_max, size=n))
         if poly is not None:
             return poly
     reach = 2.0 * np.pi / n if m == 1 else np.sqrt(4.0 * np.pi / n) / np.sqrt(3.0)
@@ -539,7 +539,7 @@ def random_polytope(m: int, n: int, rng: np.random.Generator,
     for _ in range(2000):
         dirs = _jittered_directions(m, n, rng)
         klein = np.tanh(rng.uniform(low, r_max)) * (1.0 - dip * rng.uniform(size=n))
-        poly = _sampled_body(m, dirs, np.arctanh(klein), min_exterior)
+        poly = _sampled_body(m, dirs, np.arctanh(klein))
         if poly is not None:
             return poly
     raise RuntimeError("failed to sample a valid polytope; relax the parameters")

@@ -28,6 +28,11 @@ above body 1's: membership in the other body's arc, with no evaluation of
 either support function.  A partition-and-bisection fallback handles
 arbitrary support callables.
 
+The truncation h_a <= h_cap is exact once h_cap is at least the larger body
+radius: a geodesic whose foot point lies beyond both bodies has a positive
+first component in every vertex form, so both above-arcs contain s = 0 and
+the two bodies' counts agree.  ``crofton_compare`` rejects a smaller cap.
+
 The area side is exact.  Each polar-boundary area is the sum of the cell
 masses of ``cells.SupportKernel`` divided by cosh(r_i)
 (``bodies.polar_boundary_area``).  Over omega = {h1 < h2} the hull K of
@@ -117,8 +122,8 @@ def sample_geodesics(m: int, n: int, h_cap: float, seed: int) -> GeodesicSampleS
     measure 2*pi^2*sinh^2(h_cap).
     """
     validate_dimension(m)
-    if h_cap <= 0 or n <= 0:
-        raise ValueError("h_cap and n must be positive")
+    if not 0.0 < h_cap < math.inf or n <= 0:
+        raise ValueError(f"h_cap must be finite and positive (not {h_cap}), and n positive")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     if m == 1:
@@ -413,6 +418,8 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
     area difference |Sigma_2| - |Sigma_1| over omega, exact over the cells
     (``_area_side``); the right side averages per-geodesic count
     differences.  The agreement flag tests |lhs - rhs| <= 3*stderr.
+    ``h_cap`` defaults to the larger body radius plus 0.5, and a cap below
+    that radius raises ValueError.
     ``grid`` is not read; it is accepted so that positional calls that pass
     a quadrature grid keep working.
     """
@@ -421,8 +428,11 @@ def crofton_compare(poly1: HyperbolicPolytope, poly2: HyperbolicPolytope,
         raise ValueError("bodies must share the dimension")
     if omega not in ("lower", "full"):
         raise ValueError("omega must be 'lower' or 'full'")
+    reach = float(max(poly1.radii.max(), poly2.radii.max()))
     if h_cap is None:
-        h_cap = float(max(poly1.radii.max(), poly2.radii.max()) + 0.5)
+        h_cap = reach + 0.5
+    elif not h_cap >= reach:
+        raise ValueError(f"h_cap must be at least the larger body radius {reach}, not {h_cap}")
 
     lhs = _area_side(poly1, poly2, omega)
 

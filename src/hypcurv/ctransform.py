@@ -35,6 +35,8 @@ logger = logging.getLogger(__name__)
 # Values in [-PSI_FLOOR, 0) are clamped; psi -> 0 signals a measure at the
 # edge of the vertex condition, which the solver reports rather than chases.
 PSI_FLOOR = 1e-10
+# conjugacy_diagnostics refuses a psi that double conjugation moves this far
+CONCAVITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,7 @@ class ConjugacyDiagnostics:
     lipschitz_estimate: float
 
 
-def conjugacy_diagnostics(psi: PotentialVector,
-                          concavity_tol: float = 1e-6) -> ConjugacyDiagnostics:
+def conjugacy_diagnostics(psi: PotentialVector) -> ConjugacyDiagnostics:
     """Check the min/max pairing identities of the conjugate function pair.
 
     The identities max(phi) + min(psi) = 0 and min(phi) + max(psi) = 0 hold
@@ -148,7 +149,7 @@ def conjugacy_diagnostics(psi: PotentialVector,
     because the cost vanishes on the diagonal; psi^cc is largest at the
     support points.
 
-    Requires psi to be c-concave up to ``concavity_tol`` (double conjugation
+    Requires psi to be c-concave up to ``CONCAVITY_TOL`` (double conjugation
     moves it by less), otherwise a ValueError is raised.  On the normal cone
     of vertex i, phi = -psi_i - ln<eta, xi_i> has gradient length
     tan angle(eta, xi_i), largest at a corner of the cone, a facet normal.
@@ -158,7 +159,7 @@ def conjugacy_diagnostics(psi: PotentialVector,
     simplices, normals, supports = _klein_facets(psi)
     ext = _extension(psi, normals, supports)
     moved = np.max(ext - psi.values, initial=0.0)
-    if moved >= concavity_tol:
+    if moved >= CONCAVITY_TOL:
         raise ValueError(f"psi is not c-concave (moved by {moved:.2e})")
     low = int(np.argmin(supports))
     max_phi, _ = c_transform(psi, normals[low])

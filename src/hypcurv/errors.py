@@ -35,18 +35,6 @@ class UncoveredDirectionError(HypcurvError):
         )
 
 
-class IntegrationError(HypcurvError):
-    """The integrand returned a non-finite value at a quadrature node."""
-
-    def __init__(self, node_index: int, node, value):
-        self.node_index = int(node_index)
-        self.node = node
-        self.value = value
-        super().__init__(
-            f"integrand returned non-finite value {value} at node {node_index} {node}"
-        )
-
-
 class PreconditionError(HypcurvError):
     """A solve was attempted on a measure failing the admissibility conditions."""
 

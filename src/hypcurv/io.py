@@ -3,9 +3,11 @@
 The emitters draw a body's faces as ``from_vertices`` turned them outward
 (``HyperbolicPolytope.faces``).
 
-Schemas are strict: unknown fields are rejected, "dim" is explicit, floats
-are serialized with Python's shortest round-trip representation so a
-write-then-read cycle reproduces values bit for bit.  Unit vectors are
+Schemas are strict: unknown fields are rejected, "dim" is a JSON integer,
+and every element of "points", "weights", "directions" and "radii" is a
+JSON number, not a string, boolean or null.  Floats are serialized with
+Python's shortest round-trip representation so a write-then-read cycle
+reproduces values bit for bit.  Unit vectors are
 rejected when their norm is off by more than 1e-6; rows already unit to
 within a few ulps are kept exactly as read and the rest are renormalized.
 
@@ -25,6 +27,7 @@ from .measures import DiscreteMeasure
 from .minkowski import unit_rows
 
 _UNIT_TOL = 1e-6
+SVG_SIZE = 640  # pixels, width and height
 
 
 def _load_strict(path, required: set[str]) -> dict:
@@ -48,8 +51,16 @@ def _dim(path, data: dict) -> int:
     return dim
 
 
-def _unit_rows(raw, dim: int, what: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+def _numbers(path, data: dict, what: str) -> np.ndarray:
+    """Field ``what`` as a float array, every element a JSON number."""
+    for item in np.array(data[what], dtype=object).ravel():
+        if not isinstance(item, (int, float)) or isinstance(item, bool):
+            raise ValueError(f"{path}: field {what!r} must hold JSON numbers, not {item!r}")
+    return np.asarray(data[what], dtype=float)
+
+
+def _unit_rows(path, data: dict, dim: int, what: str) -> np.ndarray:
+    arr = _numbers(path, data, what)
     if arr.ndim != 2 or arr.shape[1] != dim + 1:
         raise ValueError(f"{what} must be a list of {dim + 1}-vectors")
     return unit_rows(
@@ -60,8 +71,8 @@ def _unit_rows(raw, dim: int, what: str) -> np.ndarray:
 def load_measure(path) -> DiscreteMeasure:
     data = _load_strict(path, {"dim", "points", "weights"})
     dim = _dim(path, data)
-    points = _unit_rows(data["points"], dim, "points")
-    return DiscreteMeasure(dim, points, np.asarray(data["weights"], dtype=float))
+    points = _unit_rows(path, data, dim, "points")
+    return DiscreteMeasure(dim, points, _numbers(path, data, "weights"))
 
 
 def save_measure(mu: DiscreteMeasure, path) -> None:
@@ -76,8 +87,8 @@ def save_measure(mu: DiscreteMeasure, path) -> None:
 def load_body(path) -> HyperbolicPolytope:
     data = _load_strict(path, {"dim", "directions", "radii"})
     dim = _dim(path, data)
-    directions = _unit_rows(data["directions"], dim, "directions")
-    return from_vertices(dim, directions, np.asarray(data["radii"], dtype=float))
+    directions = _unit_rows(path, data, dim, "directions")
+    return from_vertices(dim, directions, _numbers(path, data, "radii"))
 
 
 def save_body(poly: HyperbolicPolytope, path) -> None:
@@ -102,21 +113,21 @@ def save_report(report_dict: dict, path) -> None:
 # -- graphics ----------------------------------------------------------------
 
 
-def body_svg(poly: HyperbolicPolytope, with_polar: bool = True, size: int = 640) -> str:
+def body_svg(poly: HyperbolicPolytope) -> str:
     """Klein-disk picture of an m=1 body: unit circle, polygon, vertex labels,
-    and optionally the polar support graph tanh(h(eta)) as a closed curve."""
+    and the polar support graph tanh(h(eta)) as a closed curve."""
     if poly.m != 1:
         raise ValueError("SVG emission is for m = 1 bodies")
-    c = size / 2.0
-    scale = 0.45 * size
+    c = SVG_SIZE / 2.0
+    scale = 0.45 * SVG_SIZE
 
     def xy(p):
         return c + scale * p[0], c - scale * p[1]
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
         f'<circle cx="{c}" cy="{c}" r="{scale}" fill="none" stroke="#888" stroke-width="1"/>',
     ]
     ring = [xy(poly.klein_vertices[i]) for i in poly.faces.faces[:, 0]]
@@ -131,16 +142,15 @@ def body_svg(poly: HyperbolicPolytope, with_polar: bool = True, size: int = 640)
         parts.append(
             f'<text x="{x + 6:.3f}" y="{y - 6:.3f}" font-size="12" fill="#333">v{i}</text>'
         )
-    if with_polar:
-        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-        etas = np.column_stack([np.cos(theta), np.sin(theta)])
-        rho = np.tanh(support_fn(poly, etas))
-        curve = [xy(r * e) for r, e in zip(rho, etas)]
-        attr = " ".join(f"{x:.3f},{y:.3f}" for x, y in curve)
-        parts.append(
-            f'<polygon points="{attr}" fill="none" stroke="#b3362b" '
-            f'stroke-width="1.5" stroke-dasharray="5,4"/>'
-        )
+    theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    etas = np.column_stack([np.cos(theta), np.sin(theta)])
+    rho = np.tanh(support_fn(poly, etas))
+    curve = [xy(r * e) for r, e in zip(rho, etas)]
+    attr = " ".join(f"{x:.3f},{y:.3f}" for x, y in curve)
+    parts.append(
+        f'<polygon points="{attr}" fill="none" stroke="#b3362b" '
+        f'stroke-width="1.5" stroke-dasharray="5,4"/>'
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -263,16 +263,12 @@ def spherical_polygon_area(vertices: np.ndarray) -> float:
     return float(total - (n - 2) * np.pi)
 
 
-def spherical_hull(points: np.ndarray, m: int | None = None) -> SphericalConvexSet:
-    """Spherical convex hull of unit points, or FULL_SPHERE if it is everything."""
+def spherical_hull(points: np.ndarray) -> SphericalConvexSet:
+    """Spherical convex hull of unit (N, m+1) points, or FULL_SPHERE if it is everything."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("need a nonempty (N, m+1) point array")
-    m = points.shape[1] - 1 if m is None else m
-    validate_dimension(m)
-    if points.shape[1] != m + 1:
-        raise ValueError("point dimension does not match m")
-    if m == 1:
+    if validate_dimension(points.shape[1] - 1) == 1:
         return _arc_hull(points)
     return _cone_hull(points)
 

@@ -4,53 +4,35 @@ m=1 uses equally spaced nodes (periodic trapezoid rule).  m=2 uses an
 icosphere: the icosahedron subdivided ``level`` times with nodes projected to
 the sphere; each node is weighted by one third of the spherical areas of its
 incident triangles and the weights are renormalized to total 4*pi.
+No library route integrates over a grid; ``icosphere_body`` reads the nodes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrationError
 from .minkowski import normalize_rows, sphere_measure, validate_dimension
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes and weights approximating the uniform measure on S^m.
-
-    ``triangles`` is the icosphere face list for m=2 (empty for m=1); it is
-    kept for edge-based diagnostics and mesh emission.
-    """
+    """Nodes and weights approximating the uniform measure on S^m, with the
+    icosphere's ``triangles`` for m=2 (none for m=1)."""
 
     m: int
-    level: int
     nodes: np.ndarray
     weights: np.ndarray
     triangles: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=int))
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-        self.triangles.setflags(write=False)
+        for array in (self.nodes, self.weights, self.triangles):
+            array.setflags(write=False)
 
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
-
-    def edges(self) -> np.ndarray:
-        """Unique node-index pairs joined by a grid edge."""
-        if self.m == 1:
-            k = self.size
-            return np.column_stack([np.arange(k), (np.arange(k) + 1) % k])
-        pairs = np.sort(np.concatenate(
-            [self.triangles[:, [0, 1]], self.triangles[:, [1, 2]], self.triangles[:, [2, 0]]]
-        ), axis=1)
-        # the key a * size + b orders pairs as their rows do, so a 1-d unique suffices
-        keys = np.unique(pairs[:, 0] * self.size + pairs[:, 1])
-        return np.column_stack(np.divmod(keys, self.size))
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +99,7 @@ def build_grid(m: int, level: int) -> QuadratureGrid:
         theta = 2.0 * np.pi * np.arange(k) / k
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(k, 2.0 * np.pi / k)
-        return QuadratureGrid(m, level, nodes, weights)
+        return QuadratureGrid(m, nodes, weights)
     verts, faces = _icosahedron()
     for _ in range(level):
         verts, faces = _subdivide(verts, faces)
@@ -126,25 +108,5 @@ def build_grid(m: int, level: int) -> QuadratureGrid:
     for col in range(3):
         np.add.at(weights, faces[:, col], areas / 3.0)
     weights *= sphere_measure(2) / weights.sum()
-    return QuadratureGrid(m, level, verts, weights, faces)
+    return QuadratureGrid(m, verts, weights, faces)
 
-
-def integrate(fn, grid: QuadratureGrid) -> float:
-    """Integrate fn against the grid: sum_k w_k * fn(node_k).
-
-    ``fn`` maps a single unit vector to a float; a vectorized callable taking
-    the full (K, m+1) node array is also accepted.  The reduction is done in
-    node-index order with compensated summation, so results are deterministic.
-    Non-finite integrand values raise IntegrationError naming the node.
-    """
-    try:
-        values = np.asarray(fn(grid.nodes), dtype=float)
-        if values.shape != (grid.size,):
-            raise TypeError
-    except (TypeError, ValueError, IndexError):
-        values = np.fromiter((fn(node) for node in grid.nodes), dtype=float, count=grid.size)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise IntegrationError(idx, grid.nodes[idx], values[idx])
-    return math.fsum(values * grid.weights)

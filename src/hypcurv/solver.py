@@ -142,15 +142,6 @@ def transport_residuals(psi: PotentialVector | np.ndarray, mu: DiscreteMeasure) 
     return np.abs(dual_gradient(psi, mu)) / (mu.weights * g_psi(_values(psi)))
 
 
-def extract_body(psi: PotentialVector, mu: DiscreteMeasure) -> HyperbolicPolytope:
-    """Convex body whose radial scale matches the potential: r_i = artanh(e^psi_i).
-
-    Raises NonExtremeVertexError (or another HypcurvError) when some support
-    direction is not an extreme vertex of the body the potential describes.
-    """
-    return from_vertices(mu.m, mu.points, np.arctanh(np.exp(psi.values)))
-
-
 def _ball_heuristic_psi(mu: DiscreteMeasure, faces: FaceSet | None = None) -> float:
     # r0 solves mu(S^m) = cosh^m(r0) sigma(S^m); guard ratio <= 1 for the
     # force path on measures violating the total-mass condition

@@ -175,6 +175,25 @@ class TestCompare:
             sample_geodesics(1, 10, -1.0, seed=0)
 
 
+@pytest.mark.parametrize("h_cap", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_sampling_rejects_a_cap_that_is_not_finite_and_positive(h_cap):
+    with pytest.raises(ValueError, match="h_cap must be finite and positive"):
+        sample_geodesics(1, 10, h_cap, seed=0)
+
+
+def test_cap_below_the_larger_radius_rejected():
+    # a cap at the larger radius drops no geodesic that counts; below it the
+    # right side came out 0.366 against 2.601
+    small, large = hc.regular_polygon(64, 0.5), hc.regular_polygon(64, 1.0)
+    for h_cap in (0.6, np.nan):
+        with pytest.raises(ValueError, match=f"larger body radius 1.0, not {h_cap}"):
+            crofton_compare(small, large, n_samples=2000, h_cap=h_cap)
+    with pytest.raises(ValueError, match="h_cap must be finite"):
+        crofton_compare(small, large, n_samples=2000, h_cap=np.inf)
+    rep = crofton_compare(small, large, n_samples=20_000, h_cap=1.0)
+    assert rep.agree
+
+
 def test_report_roundtrips_to_dict():
     b1 = hc.regular_polygon(16, 0.5)
     b2 = hc.regular_polygon(16, 1.0)

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import hypcurv as hc
 from hypcurv import io as hio
+from hypcurv.cells import SupportKernel
 from hypcurv.cli import main
 from hypcurv.minkowski import unit_rows
 
@@ -107,6 +109,28 @@ class TestJson:
                 load(path)
         assert main(["check", str(measure)]) == 2
 
+    @pytest.mark.parametrize("field, bad", [
+        ("points", "1"), ("points", True), ("weights", "2.5"), ("weights", True),
+        ("weights", None), ("directions", "1"), ("radii", "1"), ("radii", True),
+    ])
+    def test_numbers_must_be_json_numbers(self, tmp_path, field, bad):
+        square = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        if field in ("points", "weights"):
+            data = {"dim": 1, "points": square, "weights": [2, 2, 2, 2]}
+            load, cmd = hio.load_measure, ["check"]
+        else:
+            data = {"dim": 1, "directions": square, "radii": [1, 1, 1, 1]}
+            load, cmd = hio.load_body, ["forward", "--out", str(tmp_path / "out")]
+        if field in ("points", "directions"):
+            data[field][0][0] = bad
+        else:
+            data[field][0] = bad
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"field '{field}' must hold JSON numbers"):
+            load(path)
+        assert main(cmd + [str(path)]) == 2
+
     def test_near_unit_renormalized_far_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         pts = [[1.0 + 5e-7, 0.0], [0.0, 1.0], [-1.0, 0.0]]
@@ -203,6 +227,21 @@ class TestCli:
         assert not {"weights_angles", "weights_integral", "directions"} & set(summary)
         assert summary["total_angles"] == pytest.approx(summary["total_integral"], abs=1e-12)
 
+    def test_forward_runs_one_quadrature(self, fixture_dir, workdir, monkeypatch):
+        builds = []
+        build = SupportKernel.__init__
+
+        def counted(kernel, *args, **kwargs):
+            builds.append(kernel)
+            build(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(SupportKernel, "__init__", counted)
+        out = workdir / "fwd"
+        assert main(["forward", str(fixture_dir / "body_random8_m2.json"), "--out", str(out)]) == 0
+        assert len(builds) == 1
+        rep = json.loads((out / "forward_report.json").read_text())
+        assert rep["polar_boundary_area"] == math.fsum(rep["weights_integral"])
+
     def test_solve_and_roundtrip(self, fixture_dir, workdir):
         out = workdir / "solve"
         code = main(["solve", str(fixture_dir / "measure_valid_3pt.json"),
@@ -273,6 +312,13 @@ class TestCli:
         assert code == 0
         rep = json.loads((workdir / "cr" / "crofton_report.json").read_text())
         assert rep["agree"]
+
+    @pytest.mark.parametrize("h_cap", ["nan", "inf", "0.6"])
+    def test_crofton_bad_cap_exit_2(self, fixture_dir, workdir, h_cap):
+        code = main(["crofton", str(fixture_dir / "body_ball256_r05_m1.json"),
+                     str(fixture_dir / "body_ball256_r10_m1.json"), "--h-cap", h_cap,
+                     "--samples", "1000", "--out", str(workdir / "cr")])
+        assert code == 2
 
     def test_obj_emission_m2(self, fixture_dir, workdir):
         out = workdir / "fwd2"

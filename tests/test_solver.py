@@ -19,7 +19,6 @@ from hypcurv.solver import (
     _Trials,
     dual_gradient,
     dual_objective,
-    extract_body,
     solve,
     transport_residuals,
 )
@@ -111,10 +110,9 @@ def test_objective_finite():
         assert np.isfinite(dual_objective(psi, mu))
 
 
-def test_extract_body_inverse_pair(square_mu):
-    psi = hc.PotentialVector(1, square_mu.points, np.full(4, np.log(np.tanh(1.0))))
-    body = extract_body(psi, square_mu)
-    assert np.abs(body.radii - 1.0).max() < 1e-14
+def test_solved_radii_are_the_potential_radii(square_mu):
+    report = solve(square_mu)
+    assert np.array_equal(report.body.radii, np.arctanh(np.exp(report.psi.values)))
 
 
 def test_square_round_trip(square_mu, square):
