@@ -5,8 +5,9 @@ constant times the integral, over random space-like geodesics, of the
 difference of intersection counts with the two polar boundaries.  For
 concentric balls the area difference is known in closed form, which
 calibrates the kinematic normalization; every count difference is 0 or 2.
-The area side is exact: each polar-boundary area is a sum of cell integrals
-over the normal cones of a Klein hull.
+The area side is exact: by Gauss-Bonnet each polar-boundary area is 2 pi m
+plus the area of the body (m=1) or of its boundary (m=2), a sum of exact
+hyperbolic face areas.
 """
 
 import numpy as np

@@ -16,8 +16,9 @@ vertex directions.  Two independent routes compute it:
   vertex as m pi minus the sum of its corner angles, all corners at once from
   the directions and radii (``_corner_angles``).
 
-Their agreement is one of the package's main self-checks.  The corner
-formula also gives its own partial derivatives in the radii, so
+Their agreement is one of the package's main self-checks; every total and
+area is a third route, the Gauss-Bonnet face areas of ``_boundary_area``.
+The corner formula also gives its own partial derivatives in the radii, so
 ``angles_and_jacobian`` returns the angles and d alpha / d r together from
 one pass over the corners.  A body is its directions, radii and faces, one
 ``FaceSet`` that ``from_vertices`` builds and turns outward from its qhull
@@ -33,6 +34,7 @@ adds the radii.  ``solver`` keeps a body's faces across Newton trials while
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,6 +49,7 @@ from .minkowski import (
     TIE_EPS,
     boost_matrix,
     hyperbolic_point,
+    lorentz_dot,
     normalize_rows,
     random_unit_vectors,
     unit_rows,
@@ -211,9 +214,39 @@ def curvature_measure_integral(poly: HyperbolicPolytope, grid=None):
 
 
 def polar_boundary_area(poly: HyperbolicPolytope) -> float:
-    """Total area of the polar boundary: the curvature measure's total mass."""
-    measure = curvature_measure_integral(poly)
-    return math.fsum(measure.weights)
+    """Total area of the polar boundary, the curvature measure's total mass:
+    2 pi m plus the area of the body (m=1) or of its boundary (m=2)."""
+    faces = poly.faces.faces
+    return 2.0 * np.pi * poly.m + _boundary_area(poly.m, poly.directions, poly.radii, faces)
+
+
+def _hull_polar_area(m: int, directions: np.ndarray, radii: np.ndarray) -> float:
+    """``polar_boundary_area`` of the hull of the Klein points tanh(r_i) xi_i,
+    extreme or not, on qhull's unoriented faces."""
+    hull = ConvexHull(np.tanh(radii)[:, None] * directions)
+    return 2.0 * np.pi * m + _boundary_area(m, directions, radii, hull.simplices)
+
+
+def _boundary_area(m: int, directions: np.ndarray, radii: np.ndarray, faces: np.ndarray):
+    """The area of the body (m=1) or of its boundary (m=2) on these faces, in
+    any order and orientation; 2 pi m more is |Sigma|, by Gauss-Bonnet.
+
+    Face (a, b, c) on the hyperboloid, or (o, a, b) for m=1, has area A with
+    tan(A/2) = sqrt(-Gram(a, b, c)) / (1 - <a,b> - <b,c> - <c,a>), after Van
+    Oosterom and Strackee; -Gram sums the squared 3x3 minors of (a, b - a,
+    c - a), negated without the time row (Cauchy-Binet).  Sorted vertices
+    and an exact sum make the result depend on the faces alone.
+    """
+    points = np.vstack([hyperbolic_point(directions, radii), np.eye(1, m + 2)])   # o last
+    faces = np.sort(faces, axis=1)
+    if m == 1:
+        faces = np.column_stack([np.full(len(faces), len(radii)), faces])
+    a, b, c = points[faces].transpose(1, 0, 2)
+    rows = list(itertools.combinations(range(m + 2), 3))
+    minors = np.linalg.det(np.stack([a, b - a, c - a], axis=2)[:, rows])
+    gram = (np.where([0 in row for row in rows], 1.0, -1.0) * minors ** 2).sum(axis=1)
+    dots = lorentz_dot(a, b) + lorentz_dot(b, c) + lorentz_dot(c, a)
+    return math.fsum(2.0 * np.arctan2(np.sqrt(np.maximum(gram, 0.0)), 1.0 - dots))
 
 
 @dataclass(frozen=True)
@@ -433,21 +466,11 @@ def _triangle_faces(directions: np.ndarray, hull: ConvexHull, inward: np.ndarray
 
 
 def polygon_area_m1(poly: HyperbolicPolytope) -> float:
-    """Hyperbolic area of an m=1 polytope by fan triangulation from o.
-
-    The triangle o, a, b with t = tanh(r/2) at a and b and angle theta at o
-    has area 2 atan2(t_a t_b sin theta, 1 - t_a t_b cos theta), independently
-    of ``curvature_measure_angles``.  1 - cos theta is written as
-    |xi_a - xi_b|^2 / 2, so thin triangles keep their digits.
-    """
+    """Hyperbolic area of an m=1 polytope, by the fan triangles from o of
+    ``_boundary_area``, independently of ``curvature_measure_angles``."""
     if poly.m != 1:
         raise ValueError("polygon_area_m1 requires m = 1")
-    a, b = poly.faces.faces.T
-    xa, xb = poly.directions[a], poly.directions[b]
-    tt = np.tanh(0.5 * poly.radii[a]) * np.tanh(0.5 * poly.radii[b])
-    sin = xa[:, 0] * xb[:, 1] - xa[:, 1] * xb[:, 0]
-    gap = ((xa - xb) ** 2).sum(axis=1)
-    return float(np.sum(2.0 * np.arctan2(tt * sin, 1.0 - tt + 0.5 * tt * gap)))
+    return _boundary_area(1, poly.directions, poly.radii, poly.faces.faces)
 
 
 def apply_isometry(poly: HyperbolicPolytope, direction: np.ndarray, length: float) -> HyperbolicPolytope:

@@ -4,8 +4,9 @@ Given support directions xi_i and scale factors s_i in (0, 1), the score of a
 direction eta is b(eta) = max_i s_i * <eta, xi_i>, and cell i is where index i
 attains the max.  With s = tanh(r) this is the vertex decomposition of a
 polytope under its normal map (b = tanh h); with s = e^psi it is the weighted
-Voronoi decomposition of a discrete potential (phi = -ln b).  One kernel
-serves the forward map and the dual problem (``solver.dual_objective``).
+Voronoi decomposition of a discrete potential (phi = -ln b).  The kernel is
+the independent oracle of the forward map (``bodies.curvature_measure_integral``)
+and of the dual problem (``solver.dual_objective``); areas do not read it.
 
 b is the support function of the hull of the points s_i xi_i, so cell i is
 the hull's normal cone at s_i xi_i, empty unless that point is a hull vertex.

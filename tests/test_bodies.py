@@ -341,6 +341,15 @@ class TestCurvatureMeasures:
             math.fsum(mi.weights), abs=1e-12
         )
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_polar_boundary_area_matches_the_cell_oracle(self, m):
+        # Gauss-Bonnet face areas against the cell quadrature's total mass
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            poly = random_polytope(m, int(rng.integers(m + 3, 16)), rng)
+            oracle = math.fsum(curvature_measure_integral(poly).weights)
+            assert abs(polar_boundary_area(poly) / oracle - 1.0) <= 1e-12
+
     def test_total_exceeds_sphere(self, octahedron):
         rng = np.random.default_rng(8)
         poly = random_polytope(1, 5, rng)
@@ -365,6 +374,17 @@ class TestAreaAndIsometry:
             poly = random_polytope(1, int(rng.integers(4, 9)), rng)
             total = curvature_measure_angles(poly).weights.sum()
             assert abs(total - 2 * np.pi - polygon_area_m1(poly)) < 1e-8
+
+    def test_gauss_bonnet_identity_m2(self):
+        # the exterior angles add up to 4 pi plus the boundary area, which
+        # polar_boundary_area reads off the faces and not off the angles
+        rng = np.random.default_rng(11)
+        bodies = [random_polytope(2, int(rng.integers(5, 25)), rng) for _ in range(30)]
+        bodies += [icosphere_body(level, radius)
+                   for level, radius in ((0, 0.3), (2, 1.0), (3, 3.0), (4, 2.0))]
+        for poly in bodies:
+            total = math.fsum(curvature_measure_angles(poly).weights)
+            assert abs(total / polar_boundary_area(poly) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 8, 64, 256, 1024, 4096])
     def test_regular_polygon_area_closed_form(self, n):

@@ -18,7 +18,9 @@ from hypcurv.crofton import (
     crofton_compare,
     sample_geodesics,
 )
+from hypcurv.cells import SupportKernel
 from hypcurv.densities import f_of_b
+from hypcurv.minkowski import random_unit_vectors
 
 
 def test_radial_sampling_cdf():
@@ -165,6 +167,18 @@ class TestCompare:
         assert abs(rep.lhs - rep.rhs) <= 3 * rep.stderr + 5e-2
         assert rep.rhs > 0
 
+    def test_one_count_difference_everywhere_still_agrees(self):
+        # every stable sample counts 0, so the spread is 0; the mean's bound
+        # is the rule of three, 2 * 3 / n in count units, which the tiny
+        # area side of a slightly boosted body lies within
+        for m, n, eps, seed in ((1, 9, 1e-6, 0), (2, 9, 1e-4, 3)):
+            rng = np.random.default_rng(seed)
+            body = hc.random_polytope(m, n, rng)
+            moved = hc.apply_isometry(body, random_unit_vectors(m, 1, rng)[0], eps)
+            rep = crofton_compare(body, moved, n_samples=100_000, seed=0)
+            assert list(rep.diff_counts) == [0] and rep.stderr == 0.0
+            assert 0.0 < rep.lhs and rep.agree
+
     def test_input_validation(self):
         body = hc.regular_polygon(8, 0.5)
         with pytest.raises(ValueError):
@@ -277,6 +291,48 @@ def test_area_side_matches_fine_grid_quadrature():
         b1, b2 = (hc.random_polytope(1, int(rng.integers(4, 10)), rng) for _ in range(2))
         for omega in ("lower", "full"):
             assert abs(_area_side(b1, b2, omega) - _grid_area_side(grid, b1, b2, omega)) <= 1e-4
+
+
+def _cell_area_side(poly1, poly2, omega):
+    """The area side over the cells of ``SupportKernel``: each polar-boundary
+    area is the sum of the cell masses divided by cosh(r_i)."""
+    def area(directions, radii):
+        masses, _ = SupportKernel(poly1.m, directions).cell_sums(np.tanh(radii))
+        return math.fsum(masses / np.cosh(radii))
+
+    area1 = area(poly1.directions, poly1.radii)
+    if omega == "full":
+        return area(poly2.directions, poly2.radii) - area1
+    return area(np.vstack([poly1.directions, poly2.directions]),
+                np.concatenate([poly1.radii, poly2.radii])) - area1
+
+
+def _oracle_pairs(m, rng):
+    """Independent pairs, pairs on shared directions with radii scaled by
+    U(0.9, 1.1), and a body against itself boosted by 1e-9, 1e-11, 1e-13."""
+    low, high = (4, 12) if m == 1 else (5, 14)
+    pairs = [tuple(hc.random_polytope(m, int(rng.integers(low, high)), rng) for _ in range(2))
+             for _ in range(4)]
+    while len(pairs) < 8:
+        body = hc.random_polytope(m, int(rng.integers(low, high)), rng)
+        scale = rng.uniform(0.9, 1.1, size=body.n_vertices)
+        try:
+            pairs.append((body, hc.from_vertices(m, body.directions, scale * body.radii)))
+        except (hc.NonExtremeVertexError, hc.OriginNotInteriorError):
+            continue
+    body = hc.random_polytope(m, 9, rng)
+    pairs += [(body, hc.apply_isometry(body, random_unit_vectors(m, 1, rng)[0], eps))
+              for eps in (1e-9, 1e-11, 1e-13)]
+    return pairs
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_area_side_matches_the_cell_oracle(m):
+    # near-coincident bodies make sliver faces on the joint hull: their face
+    # areas are tiny, where the corners' exterior angles carry 1e-6 rad of error
+    for b1, b2 in _oracle_pairs(m, np.random.default_rng(25 + m)):
+        for omega in ("lower", "full"):
+            assert abs(_area_side(b1, b2, omega) - _cell_area_side(b1, b2, omega)) <= 1e-12
 
 
 def test_union_best_score_is_body_two_exactly_on_lower_omega():

@@ -4,10 +4,15 @@ No library route reads quadrature nodes or weights: ``bodies`` imports
 ``hypcurv.quadrature`` only for the icosphere nodes of ``icosphere_body``,
 and the package re-exports it; the tests read grids as oracles.  These tests
 follow each module's package-relative imports, transitively or one step.
-Hulls are built in two places only: ``bodies`` builds a body's hull and
-turns its faces outward, and ``cells`` builds the hull of a support kernel.
-``bodies`` reads no qhull facet equations: a body's facet planes come from
-its faces by one formula (``bodies._face_planes``).
+Hulls are built in two places only: ``bodies`` builds a body's hull, turns
+its faces outward and builds the unoriented hull of a point set for its
+area, and ``cells`` builds the hull of a support kernel.  ``bodies`` reads no
+qhull facet equations: a body's facet planes come from its faces by one
+formula (``bodies._face_planes``).  Every area comes from the Gauss-Bonnet
+face areas of ``bodies``; the cell quadrature of ``cells.SupportKernel`` is
+built only for the oracle ``curvature_measure_integral`` and, through
+``ctransform.kernel_for``, the dual oracles, and ``crofton`` does not
+import ``cells``.
 """
 
 import ast
@@ -74,6 +79,27 @@ def test_only_bodies_and_cells_construct_hulls():
                 if name == "ConvexHull":
                     builders.add(path.stem)
     assert builders == {"bodies", "cells"}
+
+
+def test_crofton_does_not_import_cells():
+    assert "cells" not in _package_imports("crofton")
+
+
+def test_support_kernels_are_built_only_for_the_oracles():
+    builders = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        # ast.walk visits outer functions first, so a node keeps its innermost one
+        owner = {node: f"{path.stem}.{function.name}"
+                 for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                 for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "SupportKernel":
+                    builders.add(owner.get(node, path.stem))
+    assert builders == {"bodies.curvature_measure_integral", "ctransform.kernel_for"}
 
 
 def test_bodies_reads_no_facet_equations():
