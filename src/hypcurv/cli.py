@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from . import io as hio
 from .bodies import (
     curvature_measure_angles,
     curvature_measure_integral,
+    polar_boundary_area,
     polygon_area_m1,
     regular_polygon,
 )
@@ -69,7 +69,7 @@ def _forward_payload(poly) -> tuple[dict, DiscreteMeasure]:
         "total_integral": float(integral.weights.sum()),
         "total_angles": float(angles.weights.sum()),
         "max_abs_weight_diff": float(diff.max()),
-        "polar_boundary_area": math.fsum(integral.weights),
+        "polar_boundary_area": float(polar_boundary_area(poly)),
     }
     if poly.m == 1:
         area = polygon_area_m1(poly)

@@ -10,15 +10,18 @@ support points as the hull of (omega intersect support), and shrinking omega
 to that hull only enlarges the polar, so the minimum slack over subset hulls
 equals the true infimum.
 
+Every hull, for both m, is one cone form (``SphericalConvexSet``): extreme
+rays, dual-cone generators for membership, and the exact polar area.
+
 Every check is exact.  m=1 enumerates the arcs between support points and
-takes each arc's mass as a difference of cyclic prefix sums, O(N^2) in all.
-The m=2 check evaluates all 2^N - 1 subsets as bit masks and is refused
-above EXHAUSTIVE_MAX_ATOMS atoms.  At every N a converged ``solver.solve``
-is the certificate of admissibility, and it runs this check only when
-Newton fails.  The pair geometry below is computed once per
-measure, and every mask's slack sits at its own index of one table of 2^N
-entries (``_slack_table``), filled in blocks of 2^16 masks that share their
-bits from 16 up.
+takes each arc's mass as a difference of cyclic prefix sums, O(N^2) time in
+row blocks of at most 2^16 arcs, so in O(N) memory beyond that.  The m=2
+check evaluates all 2^N - 1 subsets as bit masks and is refused above
+EXHAUSTIVE_MAX_ATOMS atoms.  At every N a converged ``solver.solve`` is the
+certificate of admissibility, and it runs this check only when Newton fails.
+The pair geometry below is computed once per measure, and every mask's slack
+sits at its own index of one table of 2^N entries (``_slack_table``), filled
+in blocks of 2^16 masks that share their bits from 16 up.
 
 Each ordered pair with |p_i x p_j| >= 1e-8 gets c_ij = unit(p_i x p_j),
 d_ij = atan2(|p_i x p_j|, p_i.p_j) and the masks
@@ -36,14 +39,15 @@ edges give the polar 2 pi - 2 d_ij and cover exactly the pair unless a third
 point lies on its great circle.  Degenerate subsets (a pair with
 |p_i x p_j| < 1e-8 and its supersets, a pair with a nonempty Z_ij, and a
 subset holding a pair and a point of its Z_ij) go through the per-subset hull
-``_cone_hull``.  The witness is the first subset in (size, lexicographic)
+``_cone_hull``, whose polar area is 2 pi minus the perimeter too, so they
+are exact as well.  The witness is the first subset in (size, lexicographic)
 order whose slack lies within 1e-15 of the minimum.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -62,18 +66,13 @@ EXHAUSTIVE_MAX_ATOMS = 20
 _PAIR_EPS = 1e-8     # |p_i x p_j| below this: near-parallel pair
 _EDGE_EPS = 1e-12    # dual-ray test of a hull edge
 _PLANE_EPS = 1e-8    # a third point this close to an edge's great circle
-_BLOCK = 1 << 16     # subset masks evaluated at once
+_BLOCK = 1 << 16     # subset masks (m=2) or arcs (m=1) evaluated at once
 _HEAVY = 1 << 10     # a pair with this many masks in a block is applied alone
 
 # the submasks of every byte value b, ascending, at _SUBS[_SUB_START[b]:][:_SUB_COUNT[b]]
 _SUB_OF, _SUBS = np.nonzero((np.arange(256) & ~np.arange(256)[:, None]) == 0)
 _SUB_COUNT = np.bincount(_SUB_OF, minlength=256)
 _SUB_START = np.cumsum(_SUB_COUNT) - _SUB_COUNT
-
-_FULL = "full"
-_ARC = "arc"
-_CONE = "cone"
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -120,47 +119,46 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class SphericalConvexSet:
-    """Spherical hull of a point set, or the FULL_SPHERE marker.
+    """Spherical hull of points on S^m, m = 1 or 2, as a convex cone.
 
-    m=1 hulls are arcs stored as (start angle, length); m=2 hulls carry the
-    generators of the dual cone (for membership tests), the ordered extreme
-    rays, and the precomputed polar area.
+    ``extreme_rays`` are its corners among the points: an arc's two ends
+    counter-clockwise (or its one point), a polygon's corners in cyclic order.
+    q lies in it when q . g <= ``_CONTAIN_EPS`` for every row g of
+    ``dual_generators``; the full sphere has none.  ``polar_area`` is
+    sigma(omega*): pi minus an arc's length, 2 pi minus a polygon's perimeter.
     """
 
     m: int
-    kind: str                       # "arc", "cone" or "full"
-    arc_start: float = 0.0
-    arc_length: float = 0.0
-    extreme_rays: np.ndarray | None = None
-    dual_generators: np.ndarray | None = None
-    polar_area: float = 0.0
-
-    @property
-    def is_full(self) -> bool:
-        return self.kind == _FULL
+    is_full: bool
+    extreme_rays: np.ndarray
+    dual_generators: np.ndarray
+    polar_area: float
 
     def contains(self, q: np.ndarray) -> bool:
-        q = np.asarray(q, dtype=float)
-        if self.is_full:
-            return True
-        if self.m == 1:
-            ang = float(np.arctan2(q[1], q[0]))
-            rel = (ang - self.arc_start) % (2.0 * np.pi)
-            return rel <= self.arc_length + _CONTAIN_EPS or rel >= 2.0 * np.pi - _CONTAIN_EPS
-        if self.dual_generators is None or len(self.dual_generators) == 0:
-            return True
-        return bool(np.all(self.dual_generators @ q <= _CONTAIN_EPS))
+        return bool(np.all(self.dual_generators @ np.asarray(q, dtype=float) <= _CONTAIN_EPS))
+
+
+def _widest_gap(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The first and last of the points (x, y) counter-clockwise around the
+    origin, past their widest angular gap, and the span between them."""
+    ang = np.arctan2(y, x) % (2.0 * np.pi)
+    order = np.argsort(ang)
+    angles = ang[order]
+    gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
+    widest = int(np.argmax(gaps))
+    return order[[(widest + 1) % len(order), widest]], float(2.0 * np.pi - gaps[widest])
 
 
 def _arc_hull(points: np.ndarray) -> SphericalConvexSet:
-    angles = np.sort(np.arctan2(points[:, 1], points[:, 0]) % (2.0 * np.pi))
-    gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
-    widest = int(np.argmax(gaps))
-    length = 2.0 * np.pi - gaps[widest]
+    ends, length = _widest_gap(points[:, 0], points[:, 1])
     if length >= np.pi:
-        return SphericalConvexSet(m=1, kind=_FULL)
-    start = angles[(widest + 1) % len(angles)]
-    return SphericalConvexSet(m=1, kind=_ARC, arc_start=float(start), arc_length=float(length))
+        return SphericalConvexSet(1, True, np.empty((0, 2)), np.empty((0, 2)), 0.0)
+    rays = points[ends[:1] if length <= _CONTAIN_EPS else ends]  # one point, or two ends
+    (a0, a1), (b0, b1) = rays[0], rays[-1]
+    gens = np.array([[a1, -a0], [-b1, b0]])  # outward normals at the two ends
+    if len(rays) == 1:  # the normals alone also admit -p
+        gens = np.vstack([gens, -rays])
+    return SphericalConvexSet(1, False, rays, gens, np.pi - length)
 
 
 def _dedupe_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -188,39 +186,21 @@ def _cone_hull(points: np.ndarray) -> SphericalConvexSet:
 
     if rank == 1:
         direction = vt[0] * np.sign(vt[0] @ pts[0])
-        if np.min(pts @ direction) < 0:  # antipodal pair: dual is a great circle
-            e1, e2 = _plane_basis(direction)
-            gens = np.array([e1, -e1, e2, -e2])
-            return SphericalConvexSet(2, _CONE, extreme_rays=pts,
-                                      dual_generators=gens, polar_area=0.0)
         e1, e2 = _plane_basis(direction)
         gens = np.array([-direction, e1, -e1, e2, -e2])
-        return SphericalConvexSet(2, _CONE, extreme_rays=pts[:1],
-                                  dual_generators=gens, polar_area=2.0 * np.pi)
+        if np.min(pts @ direction) < 0:  # antipodal pair: dual is a great circle
+            return SphericalConvexSet(2, False, pts, gens[1:], 0.0)
+        return SphericalConvexSet(2, False, pts[:1], gens, 2.0 * np.pi)
 
     if rank == 2:
         normal = vt[2] / np.linalg.norm(vt[2])
         e1, e2 = _plane_basis(normal)
-        ang = np.arctan2(pts @ e2, pts @ e1) % (2.0 * np.pi)
-        order = np.argsort(ang)
-        angles = ang[order]
-        gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
-        widest = int(np.argmax(gaps))
-        span = float(2.0 * np.pi - gaps[widest])  # smallest sector holding every ray
+        (a, b), span = _widest_gap(pts @ e1, pts @ e2)  # smallest sector holding every ray
         if span > np.pi:  # rays wrap more than a half turn: dual collapses
-            gens = np.array([normal, -normal])
-            return SphericalConvexSet(2, _CONE, extreme_rays=pts,
-                                      dual_generators=gens, polar_area=0.0)
-        # dual = wedge around +-normal; in-plane generators close the sector
-        a_lo = angles[(widest + 1) % len(angles)]
-        a_hi = a_lo + span
-        g1 = np.cos(a_hi + 0.5 * np.pi) * e1 + np.sin(a_hi + 0.5 * np.pi) * e2
-        g2 = np.cos(a_lo - 0.5 * np.pi) * e1 + np.sin(a_lo - 0.5 * np.pi) * e2
-        gens = np.array([normal, -normal, g1, g2])
-        area = 2.0 * max(0.0, np.pi - span)
-        ends = order[[(widest + 1) % len(angles), widest]]  # the arc's two ends
-        return SphericalConvexSet(2, _CONE, extreme_rays=pts[ends],
-                                  dual_generators=gens, polar_area=float(area))
+            return SphericalConvexSet(2, False, pts, np.array([normal, -normal]), 0.0)
+        # dual = wedge around +-normal; the outward normals at the ends close the sector
+        gens = np.array([normal, -normal, np.cross(normal, pts[b]), np.cross(pts[a], normal)])
+        return SphericalConvexSet(2, False, pts[[a, b]], gens, 2.0 * (np.pi - span))
 
     # rank 3: candidate dual rays are normals of support-plane pairs
     i, j = np.triu_indices(len(pts), 1)
@@ -230,41 +210,25 @@ def _cone_hull(points: np.ndarray) -> SphericalConvexSet:
     cand = np.stack([unit, -unit], axis=1).reshape(-1, 3)
     rays = _dedupe_rows(cand[np.max(cand @ pts.T, axis=1, initial=-np.inf) <= 1e-12])
     if len(rays) == 0:
-        return SphericalConvexSet(2, _FULL)
+        return SphericalConvexSet(2, True, np.empty((0, 3)), np.empty((0, 3)), 0.0)
     if len(rays) < 3:
-        return SphericalConvexSet(2, _CONE, extreme_rays=pts,
-                                  dual_generators=rays, polar_area=0.0)
+        return SphericalConvexSet(2, False, pts, rays, 0.0)
     center = rays.sum(axis=0)
     center /= np.linalg.norm(center)
     e1, e2 = _plane_basis(center)
-    order = np.argsort(np.arctan2(rays @ e2, rays @ e1))
-    rays = rays[order]
-    area = spherical_polygon_area(rays)
+    rays = rays[np.argsort(np.arctan2(rays @ e2, rays @ e1))]
     # the corner between consecutive dual rays lies on both of their planes
     corners = np.cross(rays, np.roll(rays, -1, axis=0))
-    extreme = np.argmax(np.abs(pts @ corners.T), axis=0)
-    return SphericalConvexSet(2, _CONE, extreme_rays=pts[extreme],
-                              dual_generators=rays, polar_area=float(area))
-
-
-def spherical_polygon_area(vertices: np.ndarray) -> float:
-    """Angle-excess area of a convex spherical polygon given ordered corners."""
-    n = len(vertices)
-    total = 0.0
-    for k in range(n):
-        p = vertices[k]
-        a = vertices[(k - 1) % n]
-        b = vertices[(k + 1) % n]
-        ta = a - (a @ p) * p
-        tb = b - (b @ p) * p
-        ta /= np.linalg.norm(ta)
-        tb /= np.linalg.norm(tb)
-        total += np.arccos(np.clip(ta @ tb, -1.0, 1.0))
-    return float(total - (n - 2) * np.pi)
+    extreme = pts[np.argmax(np.abs(pts @ corners.T), axis=0)]
+    nxt = np.roll(extreme, -1, axis=0)
+    sides = np.arctan2(np.linalg.norm(np.cross(extreme, nxt), axis=1),
+                       np.einsum("ij,ij->i", extreme, nxt))
+    return SphericalConvexSet(2, False, extreme, rays, float(2.0 * np.pi - sides.sum()))
 
 
 def spherical_hull(points: np.ndarray) -> SphericalConvexSet:
-    """Spherical convex hull of unit (N, m+1) points, or FULL_SPHERE if it is everything."""
+    """Spherical convex hull of unit (N, m+1) points as one cone form for
+    both m; ``is_full`` when it is the whole sphere."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("need a nonempty (N, m+1) point array")
@@ -275,11 +239,9 @@ def spherical_hull(points: np.ndarray) -> SphericalConvexSet:
 
 def polar_sigma_area(omega: SphericalConvexSet) -> float:
     """Uniform measure of the polar set omega* = complement of the open
-    pi/2-neighborhood of omega."""
+    pi/2-neighborhood of omega: the hull's exact ``polar_area``."""
     if omega.is_full:
         raise ValueError("the polar of the full sphere is empty; handle as 0 upstream")
-    if omega.m == 1:
-        return max(0.0, np.pi - omega.arc_length)
     return omega.polar_area
 
 
@@ -303,19 +265,7 @@ class ConditionReport:
         return self.total_mass_ok and self.vertex_ok and self.alexandrov_ok
 
     def to_dict(self) -> dict:
-        return {
-            "total_mass_ok": self.total_mass_ok,
-            "total_mass_excess": self.total_mass_excess,
-            "vertex_ok": self.vertex_ok,
-            "vertex_max_weight": self.vertex_max_weight,
-            "vertex_argmax": self.vertex_argmax,
-            "alexandrov_ok": self.alexandrov_ok,
-            "alexandrov_slack": self.alexandrov_slack,
-            "worst_witness": list(self.worst_witness),
-            "subsets_evaluated": self.subsets_evaluated,
-            "wall_time": self.wall_time,
-            "all_ok": self.all_ok,
-        }
+        return {**asdict(self), "worst_witness": list(self.worst_witness), "all_ok": self.all_ok}
 
 
 def _alexandrov_m1(mu: DiscreteMeasure):
@@ -323,30 +273,40 @@ def _alexandrov_m1(mu: DiscreteMeasure):
 
     Support points are more than 1e-9 apart, beyond ``_CONTAIN_EPS``, so the
     arc from i to j covers exactly the points from i to j in angular order.
-    The witness is the first arc in (i, j) order within 1e-15 of the minimum.
+    The slacks are formed in blocks of rows of at most ``_BLOCK`` entries,
+    keeping each row's minimum.  The witness is the first arc in (i, j) order
+    within 1e-15 of the minimum: the first such row, recomputed alone.
     """
     angles = np.arctan2(mu.points[:, 1], mu.points[:, 0]) % (2.0 * np.pi)
     order = np.argsort(angles)
-    rank = np.empty(mu.size, dtype=int)
-    rank[order] = np.arange(mu.size)
+    rank = np.argsort(order)
     prefix = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
-    length = (angles[None, :] - angles[:, None]) % (2.0 * np.pi)
-    first, last = rank[:, None], rank[None, :]
-    mass = prefix[last + 1] - prefix[first] + np.where(first > last, prefix[-1], 0.0)
-    slack = np.where(length < np.pi, (mu.total - mass) - (np.pi - length), np.inf)
-    best = float(slack.min())
-    i, j = divmod(int(np.argmax(slack <= best + 1e-15)), mu.size)
+
+    def slack(rows: slice) -> np.ndarray:  # the arcs from the points rows to every point
+        length = (angles - angles[rows, None]) % (2.0 * np.pi)
+        first = rank[rows, None]
+        mass = prefix[rank + 1] - prefix[first] + np.where(first > rank, prefix[-1], 0.0)
+        return np.where(length < np.pi, (mu.total - mass) - (np.pi - length), np.inf)
+
+    step = max(1, _BLOCK // mu.size)
+    row_min, arcs = np.empty(mu.size), 0
+    for start in range(0, mu.size, step):
+        block = slack(slice(start, start + step))
+        row_min[start:start + step] = block.min(axis=1)
+        arcs += int(np.isfinite(block).sum())
+    best = float(row_min.min())
+    i = int(np.argmax(row_min <= best + 1e-15))
+    j = int(np.argmax(slack(slice(i, i + 1))[0] <= best + 1e-15))
     span = order[np.arange(rank[i], rank[j] + (rank[j] < rank[i]) * mu.size + 1) % mu.size]
-    return best, tuple(sorted(span.tolist())), int((length < np.pi).sum())
+    return best, tuple(sorted(span.tolist())), arcs
 
 
 def _subset_slack(mu: DiscreteMeasure, subset) -> float:
     """Slack of one subset's hull, by its own dual cone; inf for the full sphere."""
     hull = _cone_hull(mu.points[list(subset)])
-    gens = hull.dual_generators
-    if hull.is_full or gens is None or len(gens) == 0:
+    if hull.is_full:
         return np.inf
-    inside = np.all(mu.points @ gens.T <= _CONTAIN_EPS, axis=1)
+    inside = np.all(mu.points @ hull.dual_generators.T <= _CONTAIN_EPS, axis=1)
     return (mu.total - mu.weights[inside].sum()) - hull.polar_area
 
 

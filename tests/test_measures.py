@@ -1,5 +1,10 @@
+import json
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -97,9 +102,11 @@ class TestUnitRows:
 
 class TestHulls:
     def test_arc_hull(self):
-        hull = spherical_hull(dirs_from_angles([0.0, np.pi / 2]))
+        ends = dirs_from_angles([0.0, np.pi / 2])
+        hull = spherical_hull(ends)
         assert not hull.is_full
-        assert hull.arc_length == pytest.approx(np.pi / 2)
+        assert np.array_equal(hull.extreme_rays, ends)
+        assert hull.polar_area == pytest.approx(np.pi / 2)
         assert polar_sigma_area(hull) == pytest.approx(np.pi / 2)
 
     def test_arc_over_half_is_full(self):
@@ -327,6 +334,52 @@ def test_arc_check_matches_the_per_arc_loop():
         assert rep.worst_witness == witness and rep.subsets_evaluated == arcs
 
 
+_RSS_RISE = """
+import json, resource, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from hypcurv.measures import DiscreteMeasure, check_conditions
+data = np.load(sys.argv[2])
+mu = DiscreteMeasure(1, data["points"], data["weights"])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rep = check_conditions(mu)
+rise = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0
+print(json.dumps({"rise_mb": rise, **rep.to_dict()}))
+"""
+
+
+def test_arc_check_memory_stays_linear(tmp_path):
+    # 4096 atoms: an N x N array of floats alone is 134 MB; the check forms
+    # its slacks in row blocks, so a fresh process's peak rises far less
+    rng = np.random.default_rng(4096)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 4096))
+    mu = measure_m1(angles, rng.uniform(0.001, 0.004, 4096))
+    np.savez(tmp_path / "mu.npz", points=mu.points, weights=mu.weights)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_RISE, str(Path(hc.__file__).parents[1]),
+         str(tmp_path / "mu.npz")], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["rise_mb"] < 50.0
+    # the per-arc values, one start point at a time: sorted by their
+    # angle from i, the points up to each end are the arc's cover
+    best, arcs = np.inf, 0
+    for i in range(mu.size):
+        rel = (angles - angles[i]) % (2.0 * np.pi)
+        order = np.argsort(rel, kind="stable")
+        short = rel[order] < np.pi
+        mass = np.cumsum(mu.weights[order])[short]
+        best = min(best, float(((mu.total - mass) - (np.pi - rel[order][short])).min()))
+        arcs += int(short.sum())
+    assert rep["alexandrov_slack"] == pytest.approx(best, abs=1e-12)
+    assert rep["subsets_evaluated"] == arcs
+    hull = spherical_hull(mu.points[rep["worst_witness"]])
+    inside = np.flatnonzero([hull.contains(q) for q in mu.points])
+    assert inside.tolist() == rep["worst_witness"]
+    witness = (mu.total - mu.weights[inside].sum()) - polar_sigma_area(hull)
+    assert witness == pytest.approx(best, abs=1e-12)
+
+
 def oracle_slacks(mu):
     """Slack of every subset's hull, one subset at a time, by the public hull API."""
     total = mu.weights.sum()
@@ -431,6 +484,75 @@ def test_polar_area_is_two_pi_minus_perimeter(polar, azimuth, radius, offsets):
     assume(min(abs(np.cross(p, q) @ r) for p, q, r in combinations(pts, 3)) > 1e-6)
     hull = spherical_hull(pts)
     assert abs(2.0 * np.pi - perimeter(hull.extreme_rays) - hull.polar_area) <= 1e-12
+
+
+def mp_polar_area(pts):
+    """2 pi minus the perimeter of the spherical polygon through the ordered
+    rows, each side atan2(|a x b|, a . b) in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        rows = [[mpmath.mpf(float(x)) for x in p] for p in pts]
+        perimeter = mpmath.mpf(0)
+        for a, b in zip(rows, rows[1:] + rows[:1]):
+            cross = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]]
+            dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+            perimeter += mpmath.atan2(mpmath.sqrt(sum(c * c for c in cross)), dot)
+        return float(2 * mpmath.pi - perimeter)
+
+
+@pytest.mark.parametrize("thickness", [1e-2, 1e-5, 1e-8, 3e-9])
+def test_thin_triangle_polar_area_matches_mpmath(thickness):
+    # the third corner lies thickness off the great circle of the other two,
+    # as in the subsets within _PLANE_EPS that the slack table hands over
+    rng = np.random.default_rng(27)
+    for trial in range(200):
+        turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        side = rng.uniform(0.2, 2.5)
+        along = rng.uniform(0.1, 0.9) * side
+        corners = np.array([[1.0, 0.0, 0.0], [np.cos(side), np.sin(side), 0.0],
+                            [np.cos(along) * np.cos(thickness),
+                             np.sin(along) * np.cos(thickness), np.sin(thickness)]])
+        pts = corners @ turn.T
+        hull = spherical_hull(pts)
+        error = polar_sigma_area(hull) - mp_polar_area(pts)
+        assert abs(error) <= 1e-14, f"draw {trial}: {error}"
+
+
+def angular_rule(start, length, angle):
+    """The arc from start of the given length contains the angle, with the
+    contain tolerance taken along the circle."""
+    rel = (angle - start) % (2.0 * np.pi)
+    return rel <= length + _CONTAIN_EPS or rel >= 2.0 * np.pi - _CONTAIN_EPS
+
+
+@given(turns, st.floats(0.0, np.pi - 1e-6, allow_subnormal=False),
+       st.lists(turns, min_size=1, max_size=20), st.booleans())
+def test_arc_contains_matches_the_angular_rule(start, length, queries, inner):
+    # the arc as the two end normals (and -p for one point) against the
+    # angle test, at query angles more than 1e-9 from either end
+    angles = [start] if length == 0.0 else [start, start + length]
+    if inner and length > 0.0:
+        angles.append(start + 0.5 * length)
+    hull = spherical_hull(dirs_from_angles(angles))
+    assert not hull.is_full
+    assert hull.polar_area == pytest.approx(np.pi - length, abs=1e-12)
+    for q in queries:
+        far = [abs((q - end + np.pi) % (2.0 * np.pi) - np.pi) for end in (start, start + length)]
+        if min(far) > 1e-9:
+            assert hull.contains(dirs_from_angles([q])[0]) == angular_rule(start, length, q)
+
+
+def test_point_and_full_circle_contains():
+    one = spherical_hull(dirs_from_angles([0.4]))
+    assert one.contains(dirs_from_angles([0.4])[0])
+    for q in (0.4 + np.pi, 0.4 + 1e-8, 0.4 - 1e-8, 2.0):
+        assert not one.contains(dirs_from_angles([q])[0]) and not angular_rule(0.4, 0.0, q)
+    # ends closer than the contain tolerance: one point, whose antipode is out
+    tiny = spherical_hull(dirs_from_angles([0.4, 0.4 + 5e-11]))
+    assert len(tiny.extreme_rays) == 1 and not tiny.contains(dirs_from_angles([0.4 + np.pi])[0])
+    full = spherical_hull(dirs_from_angles([0.0, 2.0, 4.0]))
+    assert full.is_full
+    assert all(full.contains(q) for q in dirs_from_angles(np.linspace(0.0, 6.0, 13)))
 
 
 # -- the mask path against the per-subset hull -------------------------------
