@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .cells import SupportKernel
+from .cells import SupportKernel, klein_hull
 from .errors import DegenerateHullError, NonExtremeVertexError, OriginNotInteriorError
 from .measures import DiscreteMeasure
 from .minkowski import (
@@ -81,9 +81,9 @@ class HyperbolicPolytope:
 
     @cached_property
     def _planes(self):
-        t = np.tanh(self.radii)
-        _, normal, norm, height = _face_planes(self.directions, self.faces.faces, t)
-        planes = normal / norm[:, None], t.max() * height / norm
+        _, normal, norm, support = _face_planes(self.directions, self.faces.faces,
+                                                np.tanh(self.radii))
+        planes = normal / norm[:, None], support
         for array in planes:
             array.setflags(write=False)
         return planes
@@ -153,12 +153,12 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
     if m == 1:
         # qhull lists the vertices of a 2-d hull counterclockwise
         faces = cycle_faces(directions, hull.vertices)
-        _, _, norm, height = _face_planes(directions, faces.faces, t)
+        support = _face_planes(directions, faces.faces, t)[3]
     else:
-        _, _, norm, height = _face_planes(directions, hull.simplices, t)
-        faces = _triangle_faces(directions, hull, height < 0)
+        support = _face_planes(directions, hull.simplices, t)[3]
+        faces = _triangle_faces(directions, hull, support < 0)
     # a plane split into several triangles repeats, which changes no minimum
-    if not (low := (t.max() * np.abs(height) / norm).min()) >= MIN_SUPPORT:
+    if not (low := np.abs(support).min()) >= MIN_SUPPORT:
         raise OriginNotInteriorError(f"facet support {low:.3e} below {MIN_SUPPORT:.0e}")
     return HyperbolicPolytope(m, directions, radii.copy(), faces)
 
@@ -223,7 +223,7 @@ def polar_boundary_area(poly: HyperbolicPolytope) -> float:
 def _hull_polar_area(m: int, directions: np.ndarray, radii: np.ndarray) -> float:
     """``polar_boundary_area`` of the hull of the Klein points tanh(r_i) xi_i,
     extreme or not, on qhull's unoriented faces."""
-    hull = ConvexHull(np.tanh(radii)[:, None] * directions)
+    hull, _, _ = klein_hull(directions, np.tanh(radii), 0.0)
     return 2.0 * np.pi * m + _boundary_area(m, directions, radii, hull.simplices)
 
 
@@ -392,8 +392,7 @@ class FaceSet:
 
     def least_support(self, t: np.ndarray) -> float:
         """The least Klein support of these faces through the points t_i xi_i."""
-        _, _, norm, height = _face_planes(self.directions, self.faces, t)
-        return float((t.max() * height / norm).min())
+        return float(_face_planes(self.directions, self.faces, t)[3].min())
 
     def bound(self, radii: np.ndarray) -> bool:
         """Whether these faces are the faces of the valid body with these radii.
@@ -411,21 +410,20 @@ class FaceSet:
         if not radii.min() > 0:
             return False
         t = np.tanh(radii)
-        top = t.max()
-        if not top < 1.0:
+        if not t.max() < 1.0:
             return False
-        q, normal, norm, height = _face_planes(self.directions, self.faces, t)
+        q, normal, norm, support = _face_planes(self.directions, self.faces, t)
         below = (normal[:, None] * (q[self.opposite] - q[self.faces[:, :1]])).sum(axis=2)
-        return bool(norm.min() > 0 and (top * height / norm).min() >= MIN_SUPPORT
-                    and below.max() < 0)
+        return bool(norm.min() > 0 and support.min() >= MIN_SUPPORT and below.max() < 0)
 
 
 def _face_planes(directions: np.ndarray, faces: np.ndarray, t: np.ndarray):
     """The planes of the faces through the Klein points t_i xi_i, formed on
     q = (t / max t) xi so that |n|^2 cannot underflow: q, each face's normal
-    n (outward for faces turned outward), |n| and the height <n, q> of the
-    face, whose Klein support is max t * height / |n|."""
-    q = (t / t.max())[:, None] * directions
+    n (outward for faces turned outward), |n| and the face's Klein support
+    max t * <n, q> / |n|, NaN where n = 0; the one formula for it."""
+    top = t.max()
+    q = (t / top)[:, None] * directions
     base = q[faces[:, 0]]
     edge = q[faces[:, 1]] - base
     if faces.shape[1] == 2:
@@ -435,7 +433,9 @@ def _face_planes(directions: np.ndarray, faces: np.ndarray, t: np.ndarray):
         normal = np.column_stack([edge[:, 1] * other[:, 2] - edge[:, 2] * other[:, 1],
                                   edge[:, 2] * other[:, 0] - edge[:, 0] * other[:, 2],
                                   edge[:, 0] * other[:, 1] - edge[:, 1] * other[:, 0]])
-    return q, normal, np.sqrt((normal * normal).sum(axis=1)), (normal * base).sum(axis=1)
+    norm = np.sqrt((normal * normal).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return q, normal, norm, top * (normal * base).sum(axis=1) / norm
 
 
 def cycle_faces(directions: np.ndarray, order: np.ndarray | None = None) -> FaceSet:

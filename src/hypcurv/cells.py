@@ -10,11 +10,12 @@ and of the dual problem (``solver.dual_objective``); areas do not read it.
 
 b is the support function of the hull of the points s_i xi_i, so cell i is
 the hull's normal cone at s_i xi_i, empty unless that point is a hull vertex.
-``cell_sums`` builds one ``ConvexHull``.  Two facets t and u that share a
-ridge give each vertex i of the ridge the arc (N_t, N_u) for m=1, or the
-triangle (c_i, N_t, N_u) for m=2, where N are unit facet normals and c_i, the
-normalized sum of the normals at i, lies inside the convex cell.  Simplices
-are halved at their longest edge until twice its chord is at most
+``klein_hull`` builds it, and K for ``ctransform`` and the Crofton area hull
+in ``bodies``; no other code reads qhull's facet planes.  Two facets t and u
+that share a ridge give each vertex i of the ridge the arc (N_t, N_u) for
+m=1, or the triangle (c_i, N_t, N_u) for m=2, where N are unit facet normals
+and c_i, the normalized sum of the normals at i, lies inside the convex cell.
+Simplices are halved at their longest edge until twice its chord is at most
 max(sqrt(1 - s_i^2), distance to xi_i), the scale on which
 f = (1 - b^2)^(-(m+1)/2) varies, and for the objective also at most
 min <corner, xi_i>, the distance to where ln b blows up.  Each is mapped
@@ -25,8 +26,6 @@ cosh(r_i) alpha_i to rounding.
 
 The same hull on the unit directions makes the constructor's pi/2-density
 check exact: the least score over the sphere is the least facet support.
-Points too few or too flat for a hull leave uncovered the directions away
-from their affine hull, and its normal is the direction reported.
 """
 
 from __future__ import annotations
@@ -73,6 +72,23 @@ def _away_from_flat(points: np.ndarray) -> np.ndarray:
     return -offset / size if size > 0.0 else normals[0]
 
 
+def klein_hull(points: np.ndarray, s: np.ndarray, floor: float):
+    """Hull of the points s_i xi_i, its unit outward facet normals and its
+    facet supports.  Raises UncoveredDirectionError where a support is at
+    most floor, at the lowest facet's normal, or, for points too few or too
+    flat for a hull, at the normal of their affine hull, pointing away."""
+    scaled = s[:, None] * points
+    try:
+        hull = ConvexHull(scaled)
+    except QhullError:                       # too few points, or flat input
+        raise UncoveredDirectionError(_away_from_flat(scaled)) from None
+    normals, supports = hull.equations[:, :-1], -hull.equations[:, -1]
+    low = int(np.argmin(supports))           # the least facet support
+    if supports[low] <= floor:
+        raise UncoveredDirectionError(normals[low])
+    return hull, normals, supports
+
+
 class SupportKernel:
     """Cell integrals over the normal cones of the hulls of one support set."""
 
@@ -80,23 +96,7 @@ class SupportKernel:
         self.m = validate_dimension(m)
         self.points = np.asarray(points, dtype=float)
         self.n = self.points.shape[0]
-        self._hull(np.ones(self.n), np.sin(DENSITY_MARGIN))
-
-    def _hull(self, s: np.ndarray, floor: float) -> ConvexHull:
-        """Hull of the points s_i xi_i, whose facet supports must exceed floor.
-
-        Otherwise raises UncoveredDirectionError at the lowest facet's normal,
-        or, when there is no hull, at the normal of the points' affine hull.
-        """
-        scaled = s[:, None] * self.points
-        try:
-            hull = ConvexHull(scaled)
-        except QhullError:                       # too few points, or flat input
-            raise UncoveredDirectionError(_away_from_flat(scaled)) from None
-        low = int(np.argmax(hull.equations[:, -1]))     # the least facet support
-        if -hull.equations[low, -1] <= floor:
-            raise UncoveredDirectionError(hull.equations[low, :-1])
-        return hull
+        klein_hull(self.points, np.ones(self.n), np.sin(DENSITY_MARGIN))
 
     # -- cell integrals --------------------------------------------------
 
@@ -111,8 +111,7 @@ class SupportKernel:
         if not np.all((s > 0.0) & (s < 1.0)):      # f blows up at b = 1
             raise ValueError("scale factors must lie in (0, 1)")
         m = self.m
-        hull = self._hull(s, 0.0)
-        normals = hull.equations[:, :-1]
+        hull, normals, _ = klein_hull(self.points, s, 0.0)
         # facet t meets facet u = neighbors[t, k] in its vertices but the k-th
         t, k = np.nonzero(hull.neighbors > np.arange(len(normals))[:, None])
         u = hull.neighbors[t, k]

@@ -116,7 +116,6 @@ def _report_dict(report) -> dict:
         "el_residuals": report.residuals.tolist(),
         "condition_report": report.condition_report.to_dict()
         if report.condition_report is not None else None,
-        "restarts_used": report.restarts_used,
         "hull_calls": report.hull_calls,
         "wall_time_s": report.wall_time,
         "extraction_error": report.extraction_error,

@@ -13,9 +13,10 @@ radial function of K.  This is the polar duality behind the log cost (Oliker,
 Adv. Math. 2007; Bertrand, Geom. Dedicata 2016).  So psi is c-concave
 exactly when every e^psi_i xi_i lies on the boundary of K, and the extrema
 and the Lipschitz constant of the pair are read off K's facets.
-``double_convexify`` and ``conjugacy_diagnostics`` evaluate these formulas on
-the hull that ``cells.SupportKernel`` builds; ``c_transform`` evaluates phi
-at one direction.
+``double_convexify`` and ``conjugacy_diagnostics`` read K's facets off
+``cells.klein_hull`` and raise UncoveredDirectionError exactly when K's least
+facet support is <= 0; the cell kernel's pi/2-density margin guards its
+quadrature, not these closed forms.  ``c_transform`` evaluates phi at one eta.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import SupportKernel
+from .cells import SupportKernel, klein_hull
 from .errors import UncoveredDirectionError
 from .minkowski import DOT_FLOOR, TIE_EPS, validate_dimension
 
@@ -107,12 +108,6 @@ def c_transform(psi: PotentialVector, eta: np.ndarray) -> tuple[float, np.ndarra
     return float(-np.log(best)), arg
 
 
-def _klein_facets(psi: PotentialVector):
-    """Vertex indices, unit outward normals n_f and supports d_f of K's facets."""
-    hull = kernel_for(psi.m, psi.support)._hull(np.exp(psi.values), 0.0)
-    return hull.simplices, hull.equations[:, :-1], -hull.equations[:, -1]
-
-
 def _extension(psi: PotentialVector, normals: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """psi^cc at the support points: ln rho_K(xi_i) = -ln max_f <n_f, xi_i> / d_f."""
     return -np.log(np.max(psi.support @ normals.T / supports, axis=1))
@@ -125,7 +120,7 @@ def double_convexify(psi: PotentialVector) -> PotentialVector:
     above it elsewhere; componentwise max with the input enforces that known
     inequality against roundoff.
     """
-    _, normals, supports = _klein_facets(psi)
+    _, normals, supports = klein_hull(psi.support, np.exp(psi.values), 0.0)
     raised = _extension(psi, normals, supports)
     return PotentialVector(psi.m, psi.support, np.maximum(raised, psi.values))
 
@@ -156,7 +151,7 @@ def conjugacy_diagnostics(psi: PotentialVector) -> ConjugacyDiagnostics:
     So the Lipschitz estimate, the largest tan angle(n_f, xi_i) over facets
     f and their vertices i, is phi's exact Lipschitz constant.
     """
-    simplices, normals, supports = _klein_facets(psi)
+    hull, normals, supports = klein_hull(psi.support, np.exp(psi.values), 0.0)
     ext = _extension(psi, normals, supports)
     moved = np.max(ext - psi.values, initial=0.0)
     if moved >= CONCAVITY_TOL:
@@ -164,7 +159,7 @@ def conjugacy_diagnostics(psi: PotentialVector) -> ConjugacyDiagnostics:
     low = int(np.argmin(supports))
     max_phi, _ = c_transform(psi, normals[low])
     min_phi, _ = c_transform(psi, psi.support[int(np.argmax(psi.values))])
-    corners = psi.support[simplices]                      # (facet, vertex, m+1)
+    corners = psi.support[hull.simplices]                 # (facet, vertex, m+1)
     cos = np.einsum("fd,fkd->fk", normals, corners)
     sin = np.linalg.norm(corners - cos[..., None] * normals[:, None], axis=2)
     return ConjugacyDiagnostics(

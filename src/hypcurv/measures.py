@@ -66,7 +66,7 @@ EXHAUSTIVE_MAX_ATOMS = 20
 _PAIR_EPS = 1e-8     # |p_i x p_j| below this: near-parallel pair
 _EDGE_EPS = 1e-12    # dual-ray test of a hull edge
 _PLANE_EPS = 1e-8    # a third point this close to an edge's great circle
-_BLOCK = 1 << 16     # subset masks (m=2) or arcs (m=1) evaluated at once
+_BLOCK = 1 << 16     # subset masks (m=2), arcs (m=1) or hull candidate entries at once
 _HEAVY = 1 << 10     # a pair with this many masks in a block is applied alone
 
 # the submasks of every byte value b, ascending, at _SUBS[_SUB_START[b]:][:_SUB_COUNT[b]]
@@ -208,7 +208,11 @@ def _cone_hull(points: np.ndarray) -> SphericalConvexSet:
     norm = np.linalg.norm(cr, axis=1)
     unit = cr[norm >= 1e-12] / norm[norm >= 1e-12, None]
     cand = np.stack([unit, -unit], axis=1).reshape(-1, 3)
-    rays = _dedupe_rows(cand[np.max(cand @ pts.T, axis=1, initial=-np.inf) <= 1e-12])
+    keep = np.empty(len(cand), dtype=bool)
+    step = max(1, _BLOCK // len(pts))  # row blocks of at most _BLOCK entries
+    for start in range(0, len(cand), step):
+        keep[start:start + step] = np.max(cand[start:start + step] @ pts.T, axis=1) <= 1e-12
+    rays = _dedupe_rows(cand[keep])
     if len(rays) == 0:
         return SphericalConvexSet(2, True, np.empty((0, 3)), np.empty((0, 3)), 0.0)
     if len(rays) < 3:

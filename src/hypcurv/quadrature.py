@@ -60,8 +60,9 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
     edges = np.sort(edges, axis=1)
-    uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
-    mids = normalize_rows(verts[uniq[:, 0]] + verts[uniq[:, 1]])
+    # the integer key a V + b sorts the edges (a, b) as their rows do
+    uniq, inverse = np.unique(edges[:, 0] * len(verts) + edges[:, 1], return_inverse=True)
+    mids = normalize_rows(verts[uniq // len(verts)] + verts[uniq % len(verts)])
     mid_idx = inverse.reshape(3, -1).T + len(verts)
     a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
     ab, bc, ca = mid_idx[:, 0], mid_idx[:, 1], mid_idx[:, 2]

@@ -67,6 +67,16 @@ class TestConstruction:
     def test_icospheres_are_bounded_by_their_own_faces(self, level):
         _assert_own_faces(icosphere_body(level, 0.8))
 
+    def test_faces_with_a_vanishing_normal_bound_nothing(self):
+        # every radius but one so small that the faces away from the large
+        # vertex have q = (t / max t) xi near 1e-200 and normals that
+        # underflow to 0: bound rejects them, and no RuntimeWarning is raised
+        body = icosphere_body(1, 0.8)
+        radii = np.full(body.n_vertices, 1e-200)
+        radii[0] = 1.0
+        assert not body.faces.bound(radii)
+        assert body.faces.bound(body.radii)
+
     @pytest.mark.parametrize("n", [4, 5, 7, 64, 1000, 8192])
     def test_regular_polygons_are_bounded_by_their_own_faces(self, n):
         _assert_own_faces(regular_polygon(n, 1.0))

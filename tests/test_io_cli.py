@@ -266,6 +266,13 @@ class TestCli:
         rep = json.loads((workdir / "solve" / "solve_report.json").read_text())
         assert rep["converged"] and rep["hull_calls"] == 0
 
+    def test_solve_report_has_no_restart_count(self, fixture_dir, workdir):
+        # the solve never restarts, so the report carries no restart count
+        assert main(["solve", str(fixture_dir / "measure_valid_3pt.json"),
+                     "--out", str(workdir / "solve")]) == 0
+        rep = json.loads((workdir / "solve" / "solve_report.json").read_text())
+        assert "restarts_used" not in rep and "hull_calls" in rep
+
     def test_converged_solve_writes_no_condition_report(self, fixture_dir, workdir):
         # a converged solve certifies its measure and runs no exact check
         assert main(["solve", str(fixture_dir / "measure_valid_3pt.json"),

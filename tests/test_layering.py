@@ -4,15 +4,17 @@ No library route reads quadrature nodes or weights: ``bodies`` imports
 ``hypcurv.quadrature`` only for the icosphere nodes of ``icosphere_body``,
 and the package re-exports it; the tests read grids as oracles.  These tests
 follow each module's package-relative imports, transitively or one step.
-Hulls are built in two places only: ``bodies`` builds a body's hull, turns
-its faces outward and builds the unoriented hull of a point set for its
-area, and ``cells`` builds the hull of a support kernel.  ``bodies`` reads no
-qhull facet equations: a body's facet planes come from its faces by one
-formula (``bodies._face_planes``).  Every area comes from the Gauss-Bonnet
-face areas of ``bodies``; the cell quadrature of ``cells.SupportKernel`` is
-built only for the oracle ``curvature_measure_integral`` and, through
-``ctransform.kernel_for``, the dual oracles, and ``crofton`` does not
-import ``cells``.
+Hulls are built in two functions only: ``bodies.from_vertices`` builds a
+body's hull and turns its faces outward, and ``cells.klein_hull`` builds the
+hull of weighted directions s_i xi_i for the cell kernel, for K in
+``ctransform`` and for the unoriented area hull of ``bodies``.  Only
+``klein_hull`` reads qhull's facet equations; a body's facet planes and Klein
+supports come from its faces by one formula (``bodies._face_planes``).
+Every area comes from the Gauss-Bonnet face areas of ``bodies``; the cell
+quadrature of ``cells.SupportKernel`` is built only for the oracle
+``curvature_measure_integral`` and, through ``ctransform.kernel_for``, the
+dual oracles.  No other ``ctransform`` function names the kernel, and
+``crofton`` does not import ``cells``.
 """
 
 import ast
@@ -106,3 +108,38 @@ def test_bodies_reads_no_facet_equations():
     tree = ast.parse((PACKAGE / "bodies.py").read_text())
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "equations"]
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _owners(found) -> set[str]:
+    """``module.function`` of the innermost function around each node that
+    ``found`` accepts, or the module for a node outside every function."""
+    owners = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        # ast.walk visits outer functions first, so a node keeps its innermost one
+        owner = {node: f"{path.stem}.{function.name}"
+                 for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                 for node in ast.walk(function)}
+        owners.update(owner.get(node, path.stem) for node in ast.walk(tree) if found(node))
+    return owners
+
+
+def test_hulls_are_built_only_for_bodies_and_klein_hulls():
+    calls = _owners(lambda node: isinstance(node, ast.Call) and _name(node.func) == "ConvexHull")
+    assert calls == {"bodies.from_vertices", "cells.klein_hull"}
+
+
+def test_only_klein_hull_reads_facet_equations():
+    reads = _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "equations")
+    assert reads == {"cells.klein_hull"}
+
+
+def test_conjugacy_does_not_reach_into_the_cell_kernel():
+    named = _owners(lambda node: _name(node) in {"SupportKernel", "kernel_for"})
+    assert {owner for owner in named if owner.startswith("ctransform.")} == {"ctransform.kernel_for"}

@@ -380,6 +380,56 @@ def test_arc_check_memory_stays_linear(tmp_path):
     assert witness == pytest.approx(best, abs=1e-12)
 
 
+_HULL_RSS_RISE = """
+import json, resource, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from hypcurv.measures import spherical_hull
+pts = np.load(sys.argv[2])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+hull = spherical_hull(pts)
+rise = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0
+print(json.dumps({"rise_mb": rise, "full": hull.is_full,
+                  "inside": [hull.contains(q) for q in pts]}))
+"""
+
+
+def test_cone_hull_memory_stays_quadratic(tmp_path):
+    # 622 points in a cap: the planes of all point pairs against all points
+    # at once are a 386 262 x 622 array, 1.9 GB; the hull tests them in row
+    # blocks, so a fresh process's peak rises far less
+    np.save(tmp_path / "pts.npy", cap_points(np.random.default_rng(622), 622, 0.5))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HULL_RSS_RISE, str(Path(hc.__file__).parents[1]),
+         str(tmp_path / "pts.npy")], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["rise_mb"] < 100.0
+    assert not rep["full"] and all(rep["inside"])
+
+
+def _one_shot_dual_rays(pts):
+    """The planes of all point pairs with every point on one side, tested
+    against all points at once."""
+    i, j = np.triu_indices(len(pts), 1)
+    cross = np.cross(pts[i], pts[j])
+    norm = np.linalg.norm(cross, axis=1)
+    unit = cross[norm >= 1e-12] / norm[norm >= 1e-12, None]
+    cand = np.stack([unit, -unit], axis=1).reshape(-1, 3)
+    return cand[np.max(cand @ pts.T, axis=1) <= 1e-12]
+
+
+@pytest.mark.parametrize("n", [4, 10, 60, 100, 150])
+def test_cone_hull_blocks_keep_the_one_shot_dual_rays(n):
+    # from 60 points on, the candidates span several row blocks
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        pts = cap_points(rng, n, rng.uniform(0.1, 1.2))
+        want = hc.measures._dedupe_rows(_one_shot_dual_rays(pts))
+        got = spherical_hull(pts).dual_generators
+        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
+
 def oracle_slacks(mu):
     """Slack of every subset's hull, one subset at a time, by the public hull API."""
     total = mu.weights.sum()
@@ -585,10 +635,10 @@ def test_mask_slacks_match_every_subset_hull(kind, polar, azimuth, offsets, weig
     center = np.array([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
                        np.cos(polar)])
     pts = _spread_points(kind, center, offsets)
-    # general position: no two points within 1e-3, no three within about 1e-3
-    # of a great circle, where the oracle's arccos corner angles lose digits
     assume(min(np.linalg.norm(p - q) for p, q in combinations(pts, 2)) > 1e-3)
-    assume(min(abs(np.cross(p, q) @ r) for p, q, r in combinations(pts, 3)) > 1e-3)
+    # the per-subset hull takes a nearly antipodal pair's edge normal from the
+    # short p x q, which rounding turns by about 1e-16 / |p x q|
+    assume(min(np.linalg.norm(p + q) for p, q in combinations(pts, 2)) > 1e-3)
     mu = DiscreteMeasure(2, pts, np.array(weights[:len(pts)]))
     table = _slack_table(mu)
     for mask in range(1, 1 << mu.size):
@@ -596,9 +646,7 @@ def test_mask_slacks_match_every_subset_hull(kind, polar, azimuth, offsets, weig
         if mask & (mask - 1) == 0 or np.isinf(expected):
             assert slack == expected, mask
         else:
-            # the oracle's area is an angle excess of arccos terms, which is
-            # off by about 1e-13 on thin triangles; 2 pi minus the perimeter is not
-            assert abs(slack - expected) <= 1e-12, mask
+            assert abs(slack - expected) <= 1e-13, mask
 
 
 def test_slack_table_across_block_boundaries():

@@ -77,5 +77,26 @@ def test_edges_match_row_unique(level):
     assert 2 * len(edges) == 3 * len(g.triangles)
 
 
+def _row_unique_subdivide(verts, faces):
+    """One icosphere subdivision with the midpoints numbered by np.unique
+    over the sorted edge rows."""
+    edges = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
+    uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
+    mids = hc.minkowski.normalize_rows(verts[uniq[:, 0]] + verts[uniq[:, 1]])
+    ab, bc, ca = inverse.reshape(3, -1) + len(verts)
+    a, b, c = faces.T
+    new = np.concatenate([np.column_stack(tri) for tri in
+                          ([a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca])])
+    return np.vstack([verts, mids]), new
+
+
+def test_subdivision_matches_row_unique_reference():
+    verts, faces = hc.quadrature._icosahedron()
+    for level in range(6):
+        g = build_grid(2, level)
+        assert np.array_equal(g.nodes, verts) and np.array_equal(g.triangles, faces), level
+        verts, faces = _row_unique_subdivide(verts, faces)
+
+
 def test_weight_sum_matches_fsum(grid_m2):
     assert math.fsum(grid_m2.weights) == pytest.approx(4.0 * np.pi, abs=1e-9)
