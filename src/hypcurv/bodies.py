@@ -3,8 +3,8 @@
 A polytope is given by vertex directions xi_i on S^m and hyperbolic radii
 r_i > 0; its vertices are the points cosh(r_i) o + sinh(r_i) xi_i.  The Klein
 model turns the body into the Euclidean convex hull of the points
-tanh(r_i) xi_i inside the open unit ball.  One qhull call on these points and
-the basepoint gives the faces for both m (``FaceSet``).
+tanh(r_i) xi_i inside the open unit ball; ``from_vertices`` reads the faces
+for both m (``FaceSet``) off its hull from ``cells.klein_hull``.
 
 The Gauss curvature measure of a polytope is a sum of point masses at the
 vertex directions.  Two independent routes compute it:
@@ -21,10 +21,10 @@ area is a third route, the Gauss-Bonnet face areas of ``_boundary_area``.
 The corner formula also gives its own partial derivatives in the radii, so
 ``angles_and_jacobian`` returns the angles and d alpha / d r together from
 one pass over the corners.  A body is its directions, radii and faces, one
-``FaceSet`` that ``from_vertices`` builds and turns outward from its qhull
-call: the counterclockwise cycle for m=1, the triangles with the vertex
-across each edge for m=2.  The facet planes come from the faces on first
-use, by the formula ``FaceSet.bound`` uses.  The set's ``CornerFrame``
+``FaceSet`` that ``from_vertices`` builds and turns outward: the angular
+cycle (``cycle_faces``) for m=1, the hull's triangles with the vertex across
+each edge for m=2.  The facet planes come from the faces on first use, by
+the formula ``FaceSet.bound`` uses.  The set's ``CornerFrame``
 holds what the corner formula takes from the directions alone (cross
 products, |xi_i - xi_j|^2 / 2, the spherical turn at each corner and the
 Jacobian's flat indices); it is built on first use, and ``_corner_angles``
@@ -40,10 +40,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .cells import SupportKernel, klein_hull
-from .errors import DegenerateHullError, NonExtremeVertexError, OriginNotInteriorError
+from .errors import (DegenerateHullError, NonExtremeVertexError, OriginNotInteriorError,
+                     UncoveredDirectionError)
 from .measures import DiscreteMeasure
 from .minkowski import (
     TIE_EPS,
@@ -104,11 +105,11 @@ class HyperbolicPolytope:
 def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> HyperbolicPolytope:
     """Build a polytope from vertex directions and radii.
 
-    Rejects inputs whose Klein hull does not contain the basepoint strictly
-    (OriginNotInteriorError), whose points are degenerate (DegenerateHullError)
-    or where some listed vertex is not extreme (NonExtremeVertexError naming
-    the lowest offending index).  Dropping such a vertex silently would change
-    the support of the curvature measure, so it is an error instead.
+    Rejects, in this order, fewer than m+2 vertices (DegenerateHullError), a
+    basepoint not strictly inside the Klein hull, as for flat input
+    (OriginNotInteriorError), and a listed vertex that is not extreme
+    (NonExtremeVertexError naming the lowest offending index), which dropped
+    silently would change the support of the curvature measure.
 
     Directions must be unit to within 1e-8.  One already unit to within a few
     ulps (``minkowski.UNIT_SKIP``) is kept exactly as given; any other is
@@ -126,33 +127,26 @@ def from_vertices(m: int, directions: np.ndarray, radii: np.ndarray) -> Hyperbol
         raise DegenerateHullError(f"need at least {m + 2} vertices")
     if not np.all(np.isfinite(radii)) or radii.min() <= 0:
         raise ValueError("radii must be positive and finite")
-    if np.tanh(radii).max() >= 1.0:
+    t = np.tanh(radii)
+    if t.max() >= 1.0:
         raise ValueError("radii too large to represent in the Klein ball")
     directions = unit_rows(directions, 1e-8, "directions must be unit vectors")
-
     if cKDTree(directions).query_pairs(1e-9):
         raise ValueError("vertex directions must be pairwise distinct")
 
-    n, t = directions.shape[0], np.tanh(radii)
-    # the basepoint joins the hull so that a basepoint on or outside the
-    # body's hull shows up as a vertex or coplanar point of this one
     try:
-        hull = ConvexHull(np.vstack([t[:, None] * directions, np.zeros(m + 1)]),
-                          qhull_options="Qc")
-    except QhullError as exc:
-        raise DegenerateHullError(f"vertex set is degenerate: {exc}") from exc
-    extreme = np.zeros(n + 1, dtype=bool)
-    extreme[hull.vertices] = True
-    if not extreme[:n].all():
-        raise NonExtremeVertexError(int(np.argmin(extreme[:n])))
-    if extreme[n] or n in hull.coplanar[:, 0]:
+        hull, _, _ = klein_hull(directions, t, 0.0)
+    except UncoveredDirectionError:
         raise OriginNotInteriorError(
             "basepoint is not interior to the Klein hull: the vertex directions "
             f"lie in a closed {('half-plane', 'half-space')[m - 1]}"
-        )
+        ) from None
+    extreme = np.zeros(len(t), dtype=bool)
+    extreme[hull.vertices] = True
+    if not extreme.all():
+        raise NonExtremeVertexError(int(np.argmin(extreme)))
     if m == 1:
-        # qhull lists the vertices of a 2-d hull counterclockwise
-        faces = cycle_faces(directions, hull.vertices)
+        faces = cycle_faces(directions)
         support = _face_planes(directions, faces.faces, t)[3]
     else:
         support = _face_planes(directions, hull.simplices, t)[3]
@@ -438,17 +432,16 @@ def _face_planes(directions: np.ndarray, faces: np.ndarray, t: np.ndarray):
         return q, normal, norm, top * (normal * base).sum(axis=1) / norm
 
 
-def cycle_faces(directions: np.ndarray, order: np.ndarray | None = None) -> FaceSet:
+def cycle_faces(directions: np.ndarray) -> FaceSet:
     """The faces of the m=1 polygon whose vertices run counterclockwise in
-    ``order``, by default the directions sorted by angle."""
-    if order is None:
-        order = np.argsort(np.arctan2(directions[:, 1], directions[:, 0]))
+    the order of the directions' angles."""
+    order = np.argsort(np.arctan2(directions[:, 1], directions[:, 0]))
     following = np.concatenate([order[1:], order[:1]])
     return FaceSet(directions=directions, faces=np.column_stack([order, following]),
                    opposite=np.concatenate([following[1:], following[:1]])[:, None])
 
 
-def _triangle_faces(directions: np.ndarray, hull: ConvexHull, inward: np.ndarray) -> FaceSet:
+def _triangle_faces(directions: np.ndarray, hull, inward: np.ndarray) -> FaceSet:
     """The faces of an m=2 body: qhull's triangles, each turned over where
     ``inward``, as where its height over the interior basepoint is negative
     (``_face_planes``).  ``hull.neighbors[f, c]`` is the triangle across from

@@ -10,13 +10,13 @@ and of the dual problem (``solver.dual_objective``); areas do not read it.
 
 b is the support function of the hull of the points s_i xi_i, so cell i is
 the hull's normal cone at s_i xi_i, empty unless that point is a hull vertex.
-``klein_hull`` builds it, and K for ``ctransform`` and the Crofton area hull
-in ``bodies``; no other code reads qhull's facet planes.  Two facets t and u
-that share a ridge give each vertex i of the ridge the arc (N_t, N_u) for
-m=1, or the triangle (c_i, N_t, N_u) for m=2, where N are unit facet normals
-and c_i, the normalized sum of the normals at i, lies inside the convex cell.
-Simplices are halved at their longest edge until twice its chord is at most
-max(sqrt(1 - s_i^2), distance to xi_i), the scale on which
+``klein_hull`` builds it, K for ``ctransform``, and in ``bodies`` every
+body's hull and the Crofton area hull; no other code calls qhull.  Two facets
+t and u that share a ridge give each vertex i of the ridge the arc (N_t, N_u)
+for m=1, or the triangle (c_i, N_t, N_u) for m=2, where N are unit facet
+normals and c_i, the normalized sum of the normals at i, lies inside the
+convex cell.  Simplices are halved at their longest edge until twice its
+chord is at most max(sqrt(1 - s_i^2), distance to xi_i), the scale on which
 f = (1 - b^2)^(-(m+1)/2) varies, and for the objective also at most
 min <corner, xi_i>, the distance to where ln b blows up.  Each is mapped
 centrally (eta = P/|P|, d sigma = |det(corners)| / |P|^(m+1)) and integrated

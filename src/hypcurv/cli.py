@@ -57,6 +57,7 @@ def _cmd_check(args) -> int:
 
 
 def _forward_payload(poly) -> tuple[dict, DiscreteMeasure]:
+    """The forward report, the quadrature its cross-check, and the angle measure."""
     integral = curvature_measure_integral(poly)
     angles = curvature_measure_angles(poly)
     diff = np.abs(integral.weights - angles.weights)
@@ -77,15 +78,15 @@ def _forward_payload(poly) -> tuple[dict, DiscreteMeasure]:
         payload["gauss_bonnet_residual"] = float(
             angles.weights.sum() - 2.0 * np.pi - area
         )
-    return payload, integral
+    return payload, angles
 
 
 def _cmd_forward(args) -> int:
     poly = hio.load_body(args.body)
-    payload, integral = _forward_payload(poly)
+    payload, angles = _forward_payload(poly)
     out = _out_dir(args)
     hio.save_report(payload, out / "forward_report.json")
-    hio.save_measure(integral, out / "curvature_measure.json")
+    hio.save_measure(angles, out / "curvature_measure.json")
     _maybe_graphics(args, poly, out)
     print(hio.report_json({k: v for k, v in payload.items()
                            if not isinstance(v, list) or k == "radii"}))
@@ -141,7 +142,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     poly = hio.load_body(args.body)
-    mu = curvature_measure_integral(poly)
+    mu = curvature_measure_angles(poly)
     report = solve(mu, _solve_config(args), force=args.force)
     rows, max_rel = [], None
     if report.body is not None:

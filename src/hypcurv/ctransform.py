@@ -26,10 +26,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .cells import SupportKernel, klein_hull
 from .errors import UncoveredDirectionError
-from .minkowski import DOT_FLOOR, TIE_EPS, validate_dimension
+from .minkowski import DOT_FLOOR, TIE_EPS, unit_rows, validate_dimension
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +43,7 @@ CONCAVITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PotentialVector:
-    """Potential values psi_i < 0 attached to support directions on S^m."""
+    """Potential values psi_i < 0 attached to distinct unit support directions on S^m."""
 
     m: int
     support: np.ndarray
@@ -56,6 +57,9 @@ class PotentialVector:
             raise ValueError(f"support must have shape (N, {self.m + 1})")
         if values.shape != (support.shape[0],):
             raise ValueError("values must match the number of support points")
+        support = unit_rows(support, 1e-8, "support points must be unit vectors")
+        if cKDTree(support).query_pairs(1e-9):
+            raise ValueError("support points must be pairwise more than 1e-9 apart")
         if np.any(values >= 0) or not np.all(np.isfinite(values)):
             raise ValueError("potential values must be finite and negative")
         if np.any(values > -PSI_FLOOR):

@@ -14,7 +14,8 @@ class OriginNotInteriorError(HypcurvError):
 
 
 class DegenerateHullError(HypcurvError):
-    """The vertex set does not span a full-dimensional hull."""
+    """Too few vertices for a hull: fewer than m+2.  A flat vertex set is
+    an OriginNotInteriorError, since no flat set holds the basepoint strictly."""
 
 
 class NonExtremeVertexError(HypcurvError):

@@ -10,6 +10,7 @@ from hypcurv.bodies import (
     apply_isometry,
     curvature_measure_angles,
     curvature_measure_integral,
+    cycle_faces,
     from_vertices,
     icosphere_body,
     polar_boundary_area,
@@ -148,10 +149,30 @@ class TestConstruction:
         assert np.allclose(octahedron.facet_supports, np.tanh(1.0) / np.sqrt(3.0))
 
     def test_tiny_vertex_rejected_as_non_extreme(self):
-        dirs = dirs_from_angles([0.0, 2 * np.pi / 3, np.pi / 3])
+        dirs = dirs_from_angles([0.0, 2 * np.pi / 3, 4 * np.pi / 3, np.pi / 3])
         with pytest.raises(hc.NonExtremeVertexError) as info:
+            from_vertices(1, dirs, np.array([1.0, 1.0, 1.0, 0.01]))
+        assert info.value.index == 3
+
+    def test_basepoint_is_tested_before_extremeness(self):
+        # the tiny vertex is not extreme, and the basepoint is outside too:
+        # the basepoint test speaks first
+        dirs = dirs_from_angles([0.0, 2 * np.pi / 3, np.pi / 3])
+        with pytest.raises(hc.OriginNotInteriorError):
             from_vertices(1, dirs, np.array([1.0, 1.0, 0.01]))
-        assert info.value.index == 2
+
+    def test_m1_faces_are_the_angular_cycle(self):
+        # from_vertices and the solve build an m=1 body on the same faces
+        rng = np.random.default_rng(7)
+        for n in (3, 4, 9, 25):
+            body = random_polytope(1, n, rng)
+            cycle = cycle_faces(body.directions)
+            assert np.array_equal(body.faces.faces, cycle.faces)
+            assert np.array_equal(body.faces.opposite, cycle.opposite)
+            rep = hc.solve(curvature_measure_angles(body))
+            assert rep.converged
+            assert np.array_equal(rep.body.faces.faces, body.faces.faces)
+            assert np.array_equal(rep.body.faces.opposite, body.faces.opposite)
 
     def test_half_plane_directions_rejected(self):
         dirs = dirs_from_angles([0.0, np.pi / 3, 2 * np.pi / 3])

@@ -281,3 +281,11 @@ def test_values_near_zero_clamped(caplog):
 def test_nonnegative_values_rejected():
     with pytest.raises(ValueError):
         PotentialVector(1, dirs_from_angles([0.0, 2.0, 4.0]), np.array([-1.0, 0.0, -0.5]))
+
+
+def test_support_must_be_distinct_unit_directions():
+    values = np.full(3, -0.5)
+    with pytest.raises(ValueError, match="unit"):
+        PotentialVector(1, 2.0 * dirs_from_angles([0.0, 2.0, 4.0]), values)
+    with pytest.raises(ValueError, match="apart"):
+        PotentialVector(1, dirs_from_angles([0.0, 2.0, 2.0]), values)

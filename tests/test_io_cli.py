@@ -258,6 +258,20 @@ class TestCli:
         rep = json.loads((workdir / "rt" / "roundtrip_report.json").read_text())
         assert rep["max_rel_radius_error"] < 1e-4
 
+    def test_roundtrip_solves_the_exact_angles(self, workdir, capsys):
+        # at radius 8 the cell quadrature loses digits; the round trip
+        # solves the angle measure, so the solver's own accuracy shows
+        hio.save_body(hc.icosphere_body(1, 8.0), workdir / "ico.json")
+        assert main(["roundtrip", str(workdir / "ico.json"), "--out", str(workdir / "rt")]) == 0
+        assert json.loads(capsys.readouterr().out)["max_rel_radius_error"] <= 1e-10
+
+    def test_forward_saves_the_angle_measure(self, fixture_dir, workdir):
+        out = workdir / "fwd"
+        assert main(["forward", str(fixture_dir / "body_random8_m2.json"), "--out", str(out)]) == 0
+        rep = json.loads((out / "forward_report.json").read_text())
+        saved = hio.load_measure(out / "curvature_measure.json")
+        assert saved.weights.tolist() == rep["weights_angles"]
+
     def test_solve_report_counts_hull_calls(self, fixture_dir, workdir):
         # an m=1 solve whose start the angular cycle bounds runs no qhull,
         # not even for the body it returns

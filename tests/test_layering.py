@@ -4,11 +4,11 @@ No library route reads quadrature nodes or weights: ``bodies`` imports
 ``hypcurv.quadrature`` only for the icosphere nodes of ``icosphere_body``,
 and the package re-exports it; the tests read grids as oracles.  These tests
 follow each module's package-relative imports, transitively or one step.
-Hulls are built in two functions only: ``bodies.from_vertices`` builds a
-body's hull and turns its faces outward, and ``cells.klein_hull`` builds the
-hull of weighted directions s_i xi_i for the cell kernel, for K in
-``ctransform`` and for the unoriented area hull of ``bodies``.  Only
-``klein_hull`` reads qhull's facet equations; a body's facet planes and Klein
+Hulls are built in one function only: ``cells.klein_hull`` builds the hull
+of weighted directions s_i xi_i for the cell kernel, for K in ``ctransform``,
+for a body in ``bodies.from_vertices``, which turns its faces outward, and
+for the unoriented area hull of ``bodies``.  Only ``klein_hull`` catches
+qhull's errors and reads its facet equations; a body's facet planes and Klein
 supports come from its faces by one formula (``bodies._face_planes``).
 Every area comes from the Gauss-Bonnet face areas of ``bodies``; the cell
 quadrature of ``cells.SupportKernel`` is built only for the oracle
@@ -80,7 +80,7 @@ def test_only_bodies_and_cells_construct_hulls():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name == "ConvexHull":
                     builders.add(path.stem)
-    assert builders == {"bodies", "cells"}
+    assert builders == {"cells"}
 
 
 def test_crofton_does_not_import_cells():
@@ -132,7 +132,14 @@ def _owners(found) -> set[str]:
 
 def test_hulls_are_built_only_for_bodies_and_klein_hulls():
     calls = _owners(lambda node: isinstance(node, ast.Call) and _name(node.func) == "ConvexHull")
-    assert calls == {"bodies.from_vertices", "cells.klein_hull"}
+    assert calls == {"cells.klein_hull"}
+
+
+def test_only_klein_hull_names_qhull_errors():
+    # the import sits at module level, the one handler in klein_hull
+    named = _owners(lambda node: (node.name if isinstance(node, ast.alias)
+                                  else _name(node)) == "QhullError")
+    assert named == {"cells", "cells.klein_hull"}
 
 
 def test_only_klein_hull_reads_facet_equations():
